@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .verification import RelevanceLabel, relevance_value
 
@@ -33,6 +32,7 @@ __all__ = [
     "confusion_stats",
     "weighted_kappa_3level",
     "bootstrap_median_ci",
+    "bootstrap_statistic",
     "weighted_loglog_fit",
     "CellRefs",
     "partial_weight_sweep",
@@ -268,7 +268,29 @@ _EXACT_PERM_MAX_N = 9
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    return sps.rankdata(values, method="average")
+    """Average ranks (1-based); ties share the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    count = np.diff(np.r_[first, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(first + (count + 1) / 2, count)
+    return ranks
+
+
+def _rho_and_ranks(x, y) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Spearman rho, ranks of x and ranks of y, after validating both samples."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 3 or len(y) != n:
+        raise ValueError("need two equal-length samples with n >= 3")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("correlation undefined for a sample containing NaN")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise ValueError("correlation undefined for a constant sample")
+    rx, ry = _ranks(x), _ranks(y)
+    return float(np.corrcoef(rx, ry)[0, 1]), rx, ry
 
 
 def spearman(x, y) -> Tuple[float, float]:
@@ -277,40 +299,45 @@ def spearman(x, y) -> Tuple[float, float]:
     p uses the t-approximation for n >= 10 and the exact permutation
     distribution below that.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    if n < 3 or len(y) != n:
-        raise ValueError("need two equal-length samples with n >= 3")
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise ValueError("correlation undefined for a constant sample")
-    rx, ry = _ranks(x), _ranks(y)
-    rho = float(np.corrcoef(rx, ry)[0, 1])
+    rho, rx, ry = _rho_and_ranks(x, y)
+    n = len(rx)
     if n <= _EXACT_PERM_MAX_N:
         p = _exact_perm_p(rx, ry, rho)
     else:
         if abs(rho) >= 1.0:
             p = 0.0
         else:
+            # scipy is imported here only: no other path needs it, and it
+            # is most of the package's import time.
+            from scipy import stats as sps
+
             t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
             p = float(2.0 * sps.t.sf(abs(t), n - 2))
     return rho, p
 
 
+@lru_cache(maxsize=None)
+def _permutation_matrix(n: int) -> np.ndarray:
+    """All n! orderings of range(n), one per row (row order is irrelevant)."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(n):
+        perms = np.concatenate(
+            [np.insert(perms, j, k, axis=1) for j in range(k + 1)])
+    perms.flags.writeable = False
+    return perms
+
+
 def _exact_perm_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
+    # Centred average ranks are multiples of 0.5, so every dot product below
+    # is exact whatever the summation order, and the count matches a
+    # permutation-by-permutation loop.
     rxc = rx - rx.mean()
     denom = math.sqrt(float(rxc @ rxc))
-    count = 0
-    total = 0
     ryc = ry - ry.mean()
     sy = math.sqrt(float(ryc @ ryc))
     thresh = abs(rho_obs) - 1e-12
-    for perm in permutations(ryc):
-        r = float(rxc @ np.asarray(perm)) / (denom * sy)
-        if abs(r) >= thresh:
-            count += 1
-        total += 1
-    return count / total
+    r = (ryc[_permutation_matrix(len(ryc))] @ rxc) / (denom * sy)
+    return int(np.count_nonzero(np.abs(r) >= thresh)) / len(r)
 
 
 # -- agreement ----------------------------------------------------------------
@@ -360,6 +387,35 @@ def weighted_kappa_3level(table) -> float:
 
 # -- bootstrap ----------------------------------------------------------------
 
+# Index cells drawn per chunk. A bootstrap's working memory is two 8-byte
+# arrays of this many cells (16 MB), whatever resamples x n is.
+_BOOTSTRAP_CHUNK_CELLS = 1 << 20
+
+
+def bootstrap_statistic(
+    values: np.ndarray,
+    resamples: int,
+    seed: int,
+    statistic: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``statistic`` of each of ``resamples`` with-replacement resamples.
+
+    ``statistic`` maps a (rows, n) block of resamples to one value per row.
+    Resample indices are drawn a block of rows at a time from one Generator,
+    which yields the same stream as a single (resamples, n) draw, so the
+    result does not depend on the block size.
+    """
+    n = len(values)
+    rng = np.random.default_rng(seed)
+    out = np.empty(resamples)
+    step = max(1, _BOOTSTRAP_CHUNK_CELLS // n)
+    for start in range(0, resamples, step):
+        stop = min(start + step, resamples)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        out[start:stop] = statistic(values[idx])
+    return out
+
+
 def bootstrap_median_ci(
     values, resamples: int = 10000, seed: int = 0
 ) -> BootstrapCI:
@@ -368,9 +424,8 @@ def bootstrap_median_ci(
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 values")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    medians = np.median(values[idx], axis=1)
+    medians = bootstrap_statistic(
+        values, resamples, seed, lambda rows: np.median(rows, axis=1))
     lower, upper = np.percentile(medians, [2.5, 97.5])
     return BootstrapCI(
         point=float(np.median(values)),
@@ -467,7 +522,7 @@ def partial_weight_sweep(
         if np.ptp(vec) == 0 or np.ptp(base_vec) == 0:
             rho = 1.0 if vec == base_vec else float("nan")
         else:
-            rho, _ = spearman(vec, base_vec)
+            rho = _rho_and_ranks(vec, base_vec)[0]  # p is not reported
         rows.append(
             {
                 "partial_weight": weight,

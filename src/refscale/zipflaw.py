@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .stats import BootstrapCI, fit_ols
+from .stats import BootstrapCI, bootstrap_statistic, fit_ols
 
 __all__ = [
     "RankedFrequencies",
@@ -87,9 +87,7 @@ def bootstrap_alpha_ci(
         raise ValueError("need at least 2 samples")
     point = fit_zipf_mle(x, x_min)
     logs = np.log(x / x_min)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    sums = logs[idx].sum(axis=1)
+    sums = bootstrap_statistic(logs, resamples, seed, lambda rows: rows.sum(axis=1))
     alphas = 1.0 + n / np.maximum(sums, 1e-300)
     lower, upper = np.percentile(alphas, [2.5, 97.5])
     return BootstrapCI(

@@ -123,6 +123,15 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1, float("nan"), 3], [1, 2, 3]),
+        ([1, 2, 3, 4], [4, 3, 2, float("nan")]),
+        (list(range(12)), [float("nan")] * 12),
+    ])
+    def test_nan_rejected(self, x, y):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman(x, y)
+
     def test_t_approximation_large_n(self):
         # Hand value of the t-based two-sided p at rho=0.6, n=12.
         x = list(range(12))

@@ -398,9 +398,17 @@ def _ols_dict(fit) -> dict:
 
 
 def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
-    rows = list(csv.reader(open(counts_path)))
-    counts = [float(r[1]) for r in rows if r and not r[0].startswith("#")
-              and r[1].replace(".", "", 1).isdigit()]
+    counts = []
+    with open(counts_path, newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) < 2:
+                raise IngestError(f"{counts_path}: line {reader.line_num} has no "
+                                  f"count column: {','.join(row)!r}")
+            if row[1].replace(".", "", 1).isdigit():
+                counts.append(float(row[1]))
     if not counts:
         raise IngestError(f"{counts_path}: no (concept, count) rows found")
     rf = rank_frequencies(counts)

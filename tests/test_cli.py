@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from refscale.cli import main
 
-from conftest import DEMO_DATASET, DEMO_FIXTURES
+from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
 
 
 def _args(out, *extra):
@@ -140,3 +143,36 @@ class TestZipfCommand:
         doc = json.loads((out / "zipf_report.json").read_text())
         assert doc["alpha_ols"] == pytest.approx(1.23, abs=1e-6)
         assert (out / "zipf_rolling.csv").exists()
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("concept,count\nsolo\na,5\n", 2, "line 2 has no count column: 'solo'"),
+        ("a,5\nb,3\n# note\nc\n", 2, "line 4 has no count column: 'c'"),
+        ("concept,count\n", 2, "no (concept, count) rows found"),
+        ("", 2, "no (concept, count) rows found"),
+        ("# note\na,5\n\nb,3\nc,1\n", 0, ""),
+    ])
+    def test_counts_table(self, tmp_path, capsys, text, code, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text)
+        got = main(["zipf", *_args(tmp_path / "out"), "--counts", str(counts)])
+        err = capsys.readouterr().err
+        assert got == code
+        assert message in err
+        assert "Traceback" not in err
+
+
+class TestStartup:
+    def test_verify_does_not_import_scipy(self, tmp_path):
+        # scipy is loaded only for Spearman t-tail p-values (n >= 10).
+        code = (
+            "import sys\n"
+            "import refscale.cli\n"
+            "assert 'scipy' not in sys.modules, 'import refscale.cli'\n"
+            f"assert refscale.cli.main({['verify', *_args(tmp_path / 'out')]!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, 'refscale verify'\n"
+        )
+        path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from refscale import stats, zipflaw
+from refscale import stats
 from refscale.stats import bootstrap_median_ci, bootstrap_statistic, spearman
 from refscale.zipflaw import bootstrap_alpha_ci, sample_power_law
 
@@ -93,7 +93,7 @@ class TestBootstrap:
         peaks = []
         for resamples in (100, 400):
             tracemalloc.start()
-            zipflaw.bootstrap_alpha_ci(samples, 1.0, resamples=resamples, seed=0)
+            bootstrap_alpha_ci(samples, 1.0, resamples=resamples, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         budget = 2 * 8 * stats._BOOTSTRAP_CHUNK_CELLS

@@ -24,7 +24,7 @@ from .dataset import (
     dedup_cell,
     ingest_dataset,
 )
-from .openalex import ExternalWork, FixtureCache, OpenAlexClient, match_work
+from .openalex import ExternalWork, FixtureCache, OpenAlexClient
 from .stats import (
     BootstrapCI,
     ConfusionMatrix2x2,
@@ -64,6 +64,7 @@ from .verification import (
     binary_title_match,
     classify_field,
     classify_status,
+    match_work,
     relevance_value,
     verify_reference,
 )

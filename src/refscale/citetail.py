@@ -1,18 +1,15 @@
-"""Citation-count gradient analysis: restrict to verified references, match
-them to external works, compute per-model median citation counts with
-bootstrap confidence intervals, and fit the inverse-variance weighted
-log-log gradient against model size."""
+"""Citation-count gradient analysis: restrict to verified references, take
+the citation count of the work each one was matched to at verification,
+compute per-model median citation counts with bootstrap confidence
+intervals, and fit the inverse-variance weighted log-log gradient against
+model size."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .citations import ParsedReference
-from .openalex import OpenAlexClient, match_work
 from .stats import BootstrapCI, OlsFit, bootstrap_median_ci, spearman, weighted_loglog_fit
 from .verification import Status, VerificationResult
 
@@ -27,9 +24,7 @@ class CitationSample:
 
     model: str
     matched: List[Tuple[Tuple[str, str, int], int]] = field(default_factory=list)
-    n_unmatched: int = 0
     n_excluded_status: int = 0
-    n_errors: int = 0
 
     @property
     def counts(self) -> List[int]:
@@ -37,7 +32,7 @@ class CitationSample:
 
     @property
     def n_total(self) -> int:
-        return len(self.matched) + self.n_unmatched + self.n_excluded_status + self.n_errors
+        return len(self.matched) + self.n_excluded_status
 
 
 @dataclass
@@ -51,38 +46,22 @@ class GradientReport:
 
 
 def build_citation_samples(
-    refs: Mapping[Tuple[str, str, int], ParsedReference],
     results: Mapping[Tuple[str, str, int], VerificationResult],
-    client: OpenAlexClient,
-    stopwords: Set[str],
-    overlap_threshold: float = 0.5,
 ) -> List[CitationSample]:
     """One sample per model over its analysed references.
 
-    References outside the verified buckets are counted but excluded;
-    verified references are re-matched by title and accepted only when the
-    top-ranked candidate clears the overlap threshold. Client errors skip
-    the reference and are counted separately.
+    References outside the verified buckets are counted but excluded. Both
+    verified buckets require a matched work, so each verified reference
+    contributes the citation count recorded for that work.
     """
     samples: Dict[str, CitationSample] = {}
     for key in sorted(results):
-        model = key[0]
-        sample = samples.setdefault(model, CitationSample(model=model))
+        sample = samples.setdefault(key[0], CitationSample(model=key[0]))
         result = results[key]
-        if result.status not in _INCLUDED_STATUSES:
+        if result.status in _INCLUDED_STATUSES:
+            sample.matched.append((key, result.cited_by_count))
+        else:
             sample.n_excluded_status += 1
-            continue
-        ref = refs[key]
-        try:
-            candidates = client.search_candidates(ref.title)
-        except Exception:
-            sample.n_errors += 1
-            continue
-        work = match_work(ref.title, candidates, stopwords, overlap_threshold)
-        if work is None:
-            sample.n_unmatched += 1
-            continue
-        sample.matched.append((key, client.citation_count(work)))
     return list(samples.values())
 
 

@@ -39,7 +39,7 @@ from .stats import (
     sigmoid,
     spearman,
 )
-from .verification import FieldVerdict, Status, VerificationResult
+from .verification import VerificationResult
 from .zipflaw import (
     bootstrap_alpha_ci,
     fit_zipf_mle,
@@ -158,15 +158,14 @@ def load_results(config: RunConfig):
     if not path.exists():
         raise UpstreamMissing([str(path)])
     results = {}
-    for line in path.read_text().splitlines():
-        rec = json.loads(line)
-        key = (rec["model"], rec["topic"], rec["index"])
-        results[key] = VerificationResult(
-            verdicts={k: FieldVerdict(v) for k, v in rec["verdicts"].items()},
-            authenticity=rec["authenticity"],
-            status=Status(rec["status"]),
-            matched_candidate=rec["matched_candidate"],
-        )
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            rec = json.loads(line)
+            results[(rec["model"], rec["topic"], rec["index"])] = \
+                VerificationResult.from_dict(rec)
+        except (KeyError, TypeError, ValueError) as err:
+            raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
+                              "re-run verify") from err
     return results
 
 
@@ -220,7 +219,7 @@ def cmd_verify(config: RunConfig) -> int:
     acct = corpus.accounting
     write_json(
         Path(config.output_dir) / "accounting.json",
-        {"accounting": acct.as_dict(),
+        {"accounting": asdict(acct),
          "status_counts": _status_counts(results)},
         config,
     )
@@ -260,7 +259,8 @@ def _load_cells(config: RunConfig):
     path = Path(config.output_dir) / "observations.csv"
     if not path.exists():
         raise UpstreamMissing([str(path)])
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as handle:
+        rows = list(csv.DictReader(handle))
     missing_s = sorted({r["topic"] for r in rows if not r["log10_works"]})
     if missing_s:
         raise IngestError(
@@ -295,7 +295,7 @@ def cmd_fit(config: RunConfig) -> int:
         model_fit = fit_ols([p for p, _ in pts], [q for _, q in pts])
 
     report = {
-        "sigmoid": _sigmoid_dict(sig),
+        "sigmoid": asdict(sig),
         "ols_cells_two_predictor": _ols_dict(two),
         "ols_cells_size_only": _ols_dict(one),
         "incremental_f": {"f": f_stat, "dof": list(dof)},
@@ -380,15 +380,6 @@ def _sweep(config: RunConfig):
     return partial_weight_sweep(cells, baseline=config.partial_weight)
 
 
-def _sigmoid_dict(fit: SigmoidFit) -> dict:
-    return {
-        "alpha": fit.alpha, "beta": fit.beta, "gamma": fit.gamma,
-        "se_alpha": fit.se_alpha, "se_beta": fit.se_beta, "se_gamma": fit.se_gamma,
-        "r2": fit.r2, "n": fit.n, "converged": fit.converged,
-        "iterations": fit.iterations, "rss": fit.rss,
-    }
-
-
 def _ols_dict(fit) -> dict:
     return {
         "coefficients": list(map(float, fit.coefficients)),
@@ -399,16 +390,26 @@ def _ols_dict(fit) -> dict:
 
 def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
     counts = []
+    n_rows = 0
     with open(counts_path, newline="") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
+            n_rows += 1
             if len(row) < 2:
                 raise IngestError(f"{counts_path}: line {reader.line_num} has no "
                                   f"count column: {','.join(row)!r}")
-            if row[1].replace(".", "", 1).isdigit():
-                counts.append(float(row[1]))
+            try:
+                count = float(row[1])
+            except ValueError:
+                if n_rows == 1:
+                    continue  # a header, allowed only as the first row
+                count = math.nan
+            if not 0 <= count < math.inf:
+                raise IngestError(f"{counts_path}: line {reader.line_num} has no "
+                                  f"finite non-negative count: {row[1]!r}")
+            counts.append(count)
     if not counts:
         raise IngestError(f"{counts_path}: no (concept, count) rows found")
     rf = rank_frequencies(counts)
@@ -445,7 +446,7 @@ def cmd_theory(config: RunConfig) -> int:
                 theory_mod.efficiency(lin.m, round(m_max, 3)), 4),
         })
     report = {
-        "fit": _sigmoid_dict(fit),
+        "fit": asdict(fit),
         "linearized": {"m": lin.m, "n": lin.n, "c": lin.c,
                        "m_ceiling": lin.m_ceiling, "n_ceiling": lin.n_ceiling},
         "reference_slopes": slope_table,
@@ -477,23 +478,12 @@ def _load_fit(config: RunConfig) -> SigmoidFit:
     path = Path(config.output_dir) / "fit_report.json"
     if not path.exists():
         raise UpstreamMissing([str(path)])
-    d = json.loads(path.read_text())["sigmoid"]
-    return SigmoidFit(
-        alpha=d["alpha"], beta=d["beta"], gamma=d["gamma"],
-        se_alpha=d["se_alpha"], se_beta=d["se_beta"], se_gamma=d["se_gamma"],
-        r2=d["r2"], n=d["n"], converged=d["converged"],
-        iterations=d["iterations"], rss=d["rss"],
-    )
+    return SigmoidFit(**json.loads(path.read_text())["sigmoid"])
 
 
 def cmd_citetail(config: RunConfig, min_n: int, resamples: int) -> int:
     dataset = ingest_dataset(config.dataset)
-    corpus = parse_corpus(dataset)
-    results = load_results(config)
-    stopwords = load_stopwords()
-    client = make_client(config)
-    samples = citetail_mod.build_citation_samples(
-        corpus.refs, results, client, stopwords, config.overlap_threshold)
+    samples = citetail_mod.build_citation_samples(load_results(config))
     params = {name: spec.fit_params(config.moe_convention)
               for name, spec in dataset.models.items()}
     report = citetail_mod.citation_gradient(
@@ -516,9 +506,8 @@ def cmd_citetail(config: RunConfig, min_n: int, resamples: int) -> int:
         "excluded_models": report.excluded_models,
         "min_n": min_n,
         "accounting": {
-            s.model: {"n_matched": len(s.matched), "n_unmatched": s.n_unmatched,
-                      "n_excluded_status": s.n_excluded_status,
-                      "n_errors": s.n_errors}
+            s.model: {"n_matched": len(s.matched),
+                      "n_excluded_status": s.n_excluded_status}
             for s in samples
         },
     }, config)
@@ -643,12 +632,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (FileNotFoundError, IngestError, UpstreamMissing, ValueError) as err:
+        # A missing input file is a data error; other I/O failures are the
+        # fixture store's or the network's.
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
     except (FixtureMissBatch, FixtureMiss, IOError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FIXTURE
-    except (IngestError, UpstreamMissing, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

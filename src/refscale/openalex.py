@@ -17,19 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
-
-from .citations import content_word_overlap
+from typing import List, Optional
 
 __all__ = [
     "ExternalWork",
     "FixtureMiss",
     "FixtureCache",
     "OpenAlexClient",
-    "match_work",
     "request_fingerprint",
 ]
 
@@ -100,8 +98,9 @@ def request_fingerprint(endpoint: str, params: dict) -> str:
 class FixtureCache:
     """Content-addressed directory of recorded responses.
 
-    Writes are atomic (temp file + rename) so parallel workers never observe
-    a torn entry.
+    Writes are atomic (a uniquely named temp file in the same directory, then
+    a rename) so parallel workers never observe a torn entry and two writers
+    of one fingerprint never share a temp file.
     """
 
     def __init__(self, directory: Path):
@@ -114,7 +113,13 @@ class FixtureCache:
         path = self._path(fingerprint)
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        try:
+            entry = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise IOError(f"corrupt fixture {path}: invalid JSON: {err}") from err
+        if not isinstance(entry, dict) or "body" not in entry:
+            raise IOError(f"corrupt fixture {path}: no 'body' field")
+        return entry
 
     def put(self, fingerprint: str, endpoint: str, params: dict, body) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -124,10 +129,11 @@ class FixtureCache:
             "body": body,
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        path = self._path(fingerprint)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{fingerprint}.",
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(entry, sort_keys=True, indent=1))
+        os.replace(tmp, self._path(fingerprint))
 
 
 class _RateLimiter:
@@ -146,7 +152,7 @@ class _RateLimiter:
 
 
 class OpenAlexClient:
-    """Work search, topic result counts, and citation counts.
+    """Work search and topic result counts.
 
     Topic count queries phrase-quote the topic string; unquoted counts differ
     by orders of magnitude, so the quoting choice is part of the request
@@ -261,27 +267,3 @@ class OpenAlexClient:
             return []
         body = self._fetch("works_search", {"title": title})
         return [ExternalWork.from_json(w) for w in body["results"][:max_n]]
-
-    @staticmethod
-    def citation_count(work: ExternalWork) -> int:
-        """The snapshot's cited_by_count; deterministic within a fixture set."""
-        return work.cited_by_count
-
-
-def match_work(
-    claimed_title: str,
-    candidates: Sequence[ExternalWork],
-    stopwords: Set[str],
-    threshold: float = 0.5,
-) -> Optional[ExternalWork]:
-    """Accept the top-ranked candidate iff its title's content-word overlap
-    with the claimed title meets the threshold; lower-ranked candidates are
-    never eligible."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    if not candidates:
-        return None
-    top = candidates[0]
-    if content_word_overlap(claimed_title, top.title, stopwords) >= threshold:
-        return top
-    return None

@@ -34,15 +34,6 @@ class Accounting:
     parse_failures: int = 0
     dedup_removed: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "produced": self.produced,
-            "analysed": self.analysed,
-            "parse_failures": self.parse_failures,
-            "dedup_removed": self.dedup_removed,
-        }
-
 
 @dataclass
 class ParsedCorpus:

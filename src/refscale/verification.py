@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from .citations import ParsedReference, content_word_overlap, normalize_title, surname_of
+from .openalex import ExternalWork
 
 __all__ = [
     "FieldVerdict",
@@ -28,6 +29,7 @@ __all__ = [
     "relevance_value",
     "binary_title_match",
     "classify_status",
+    "match_work",
     "verify_reference",
 ]
 
@@ -76,12 +78,17 @@ class RelevanceLabel(Enum):
 
 @dataclass
 class VerificationResult:
-    """Per-field verdicts plus the derived score and status for one reference."""
+    """Per-field verdicts plus the derived score and status for one reference.
+
+    ``cited_by_count`` is the matched work's citation count, None when no
+    candidate was matched.
+    """
 
     verdicts: Dict[str, FieldVerdict]
     authenticity: float
     status: Status
     matched_candidate: Optional[str] = None
+    cited_by_count: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +96,18 @@ class VerificationResult:
             "authenticity": self.authenticity,
             "status": self.status.value,
             "matched_candidate": self.matched_candidate,
+            "cited_by_count": self.cited_by_count,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "VerificationResult":
+        return cls(
+            verdicts={k: FieldVerdict(v) for k, v in d["verdicts"].items()},
+            authenticity=d["authenticity"],
+            status=Status(d["status"]),
+            matched_candidate=d["matched_candidate"],
+            cited_by_count=d["cited_by_count"],
+        )
 
 
 _DOI_PREFIX_RE = re.compile(
@@ -266,9 +284,28 @@ def classify_status(
     return Status.VERIFIED
 
 
+def match_work(
+    claimed_title: str,
+    candidates: Sequence[ExternalWork],
+    stopwords: Set[str],
+    threshold: float = 0.5,
+) -> Optional[ExternalWork]:
+    """Accept the top-ranked candidate iff its title's content-word overlap
+    with the claimed title meets the threshold; lower-ranked candidates are
+    never eligible."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+    if not candidates:
+        return None
+    top = candidates[0]
+    if content_word_overlap(claimed_title, top.title, stopwords) >= threshold:
+        return top
+    return None
+
+
 def verify_reference(
     ref: ParsedReference,
-    candidates,
+    candidates: Sequence[ExternalWork],
     stopwords: Set[str],
     overlap_threshold: float = 0.5,
     contradiction_penalty: float = -1.0,
@@ -278,8 +315,6 @@ def verify_reference(
     Only the top-ranked candidate is eligible; it is accepted when its
     title's content-word overlap with the claimed title meets the threshold.
     """
-    from .openalex import match_work  # local import to avoid cycle
-
     work = match_work(ref.title, candidates, stopwords, overlap_threshold)
     claimed = {
         "title": ref.title,
@@ -312,4 +347,5 @@ def verify_reference(
         authenticity=authenticity_score(verdicts, contradiction_penalty),
         status=classify_status(verdicts, matched=True),
         matched_candidate=work.id,
+        cited_by_count=work.cited_by_count,
     )

@@ -1,66 +1,55 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from refscale.citations import ParsedReference
 from refscale.citetail import CitationSample, build_citation_samples, citation_gradient
-from refscale.openalex import OpenAlexClient
+from refscale.cli import main
 from refscale.verification import FieldVerdict, Status, VerificationResult
 
-from conftest import make_fixture
+from conftest import DEMO_DATASET, DEMO_FIXTURES
 
 
-def _ref(title):
-    return ParsedReference(authors=["A, B."], year=2000, title=title,
-                           venue=None, identifier=None, raw=title)
-
-
-def _result(status):
+def _result(status, cited=None):
     return VerificationResult(verdicts={"title": FieldVerdict.MATCH},
                               authenticity=1.0, status=status,
-                              matched_candidate="W1")
-
-
-def _search_body(title, cited):
-    work = {"id": "W1", "title": title, "authors": ["A, B."], "year": 2000,
-            "venue": None, "doi": None, "cited_by_count": cited}
-    return {"results": [work]}
+                              matched_candidate=None if cited is None else "W1",
+                              cited_by_count=cited)
 
 
 class TestBuildSamples:
-    def test_accounting_buckets(self, tmp_path, stopwords):
-        refs, results = {}, {}
-        # three matched, one unmatched (empty search result), one excluded
-        for i, cited in enumerate([5, 10, 15]):
-            title = f"matched title {i}"
-            key = ("m", "t", i)
-            refs[key] = _ref(title)
-            results[key] = _result(Status.VERIFIED)
-            make_fixture(tmp_path, "works_search", {"title": title},
-                         _search_body(title, cited))
-        refs[("m", "t", 3)] = _ref("vanished title")
-        results[("m", "t", 3)] = _result(Status.VERIFIED_WITH_ERROR)
-        make_fixture(tmp_path, "works_search", {"title": "vanished title"},
-                     {"results": []})
-        refs[("m", "t", 4)] = _ref("fabricated title")
-        results[("m", "t", 4)] = _result(Status.UNVERIFIED)
-
-        client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        (sample,) = build_citation_samples(refs, results, client, stopwords)
+    def test_accounting_buckets(self):
+        # three matched across both verified buckets, one excluded
+        results = {
+            ("m", "t", 0): _result(Status.VERIFIED, 5),
+            ("m", "t", 1): _result(Status.VERIFIED_WITH_ERROR, 10),
+            ("m", "t", 2): _result(Status.VERIFIED, 15),
+            ("m", "t", 3): _result(Status.UNVERIFIED),
+        }
+        (sample,) = build_citation_samples(results)
         assert sample.model == "m"
         assert sorted(sample.counts) == [5, 10, 15]
-        assert sample.n_unmatched == 1
         assert sample.n_excluded_status == 1
-        assert sample.n_errors == 0
-        assert sample.n_total == 5
+        assert sample.n_total == 4
 
-    def test_client_errors_counted(self, tmp_path, stopwords):
-        # No fixture at all: the offline miss is counted as an error.
-        refs = {("m", "t", 0): _ref("never recorded")}
-        results = {("m", "t", 0): _result(Status.VERIFIED)}
-        client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        (sample,) = build_citation_samples(refs, results, client, stopwords)
-        assert sample.n_errors == 1
-        assert sample.counts == []
+
+class TestCommand:
+    def test_no_fixture_reads_after_verify(self, tmp_path, monkeypatch):
+        # citetail reads the citation counts verify recorded, so emptying
+        # the fixture directory after verify changes nothing.
+        shutil.copy(DEMO_DATASET, tmp_path / "dataset.json")
+        shutil.copytree(DEMO_FIXTURES, tmp_path / "fixtures")
+        monkeypatch.chdir(tmp_path)
+        args = ["--dataset", "dataset.json", "--fixtures", "fixtures",
+                "--output-dir", "out"]
+        assert main(["verify", *args]) == 0
+        assert main(["citetail", *args, "--min-n", "10"]) == 0
+        with_fixtures = (tmp_path / "out" / "citation_gradient.csv").read_bytes()
+        for fixture in (tmp_path / "fixtures").iterdir():
+            fixture.unlink()
+        assert main(["citetail", *args, "--min-n", "10"]) == 0
+        got = (tmp_path / "out" / "citation_gradient.csv").read_bytes()
+        assert got == with_fixtures
 
 
 def _synthetic_samples(slope=-0.35, scale=2000.0, n=240, sigma=0.6, base=100):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -111,6 +112,57 @@ class TestExitCodes:
     def test_score_before_verify(self, tmp_path):
         assert main(["score", *_args(tmp_path / "fresh")]) == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--dataset"),
+        ("zipf", "--counts"),
+    ])
+    def test_missing_input_file(self, tmp_path, capsys, command, flag):
+        missing = str(tmp_path / "no-such-file")
+        args = _args(tmp_path / "out")
+        if flag in args:
+            args[args.index(flag) + 1] = missing
+        else:
+            args += [flag, missing]
+        assert main([command, *args]) == 2
+        assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda entry: json.dumps(entry)[:7],
+        lambda entry: json.dumps({k: v for k, v in entry.items() if k != "body"}),
+    ], ids=["truncated", "no-body"])
+    def test_corrupt_fixture_exit_code(self, tmp_path, capsys, corrupt):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(DEMO_FIXTURES, fixtures)
+        path = next(p for p in sorted(fixtures.glob("*.json"))
+                    if json.loads(p.read_text())["request"]["endpoint"]
+                    == "works_search")
+        path.write_text(corrupt(json.loads(path.read_text())))
+        code = main(["verify", "--dataset", str(DEMO_DATASET),
+                     "--fixtures", str(fixtures),
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert path.name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: {k: v for k, v in rec.items() if k != "cited_by_count"},
+        lambda rec: json.dumps(rec)[:20],
+    ], ids=["no-cited-by-count", "malformed"])
+    def test_unreadable_verification_record(self, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        path = out / "verification.jsonl"
+        lines = path.read_text().splitlines()
+        edited = edit(json.loads(lines[1]))
+        lines[1] = edited if isinstance(edited, str) else json.dumps(edited)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["citetail", *_args(out), "--min-n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2" in err
+        assert "re-run verify" in err
+
 
 class TestConfigFile:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -150,6 +202,15 @@ class TestZipfCommand:
         ("concept,count\n", 2, "no (concept, count) rows found"),
         ("", 2, "no (concept, count) rows found"),
         ("# note\na,5\n\nb,3\nc,1\n", 0, ""),
+        ("a,1e3\nb,500\nc,-1\nd,20\ne,3\n", 2,
+         "line 3 has no finite non-negative count: '-1'"),
+        ("concept,count\na,5\nb,x\nc,1\n", 2,
+         "line 3 has no finite non-negative count: 'x'"),
+        ("concept,count\nname,count\na,5\n", 2,
+         "line 2 has no finite non-negative count: 'count'"),
+        ("a,5\nb,inf\nc,1\n", 2, "line 2 has no finite non-negative count: 'inf'"),
+        ("a,5\nb,nan\nc,1\n", 2, "line 2 has no finite non-negative count: 'nan'"),
+        ("concept,count\na,1e3\nb,2.5e2\nc,20\n", 0, ""),
     ])
     def test_counts_table(self, tmp_path, capsys, text, code, message):
         counts = tmp_path / "counts.csv"
@@ -159,6 +220,13 @@ class TestZipfCommand:
         assert got == code
         assert message in err
         assert "Traceback" not in err
+
+    def test_every_count_row_is_used(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("concept,count\na,1e3\nb,500\nc,2.5e1\nd,20\ne,3\n")
+        out = tmp_path / "out"
+        assert main(["zipf", *_args(out), "--counts", str(counts)]) == 0
+        assert json.loads((out / "zipf_report.json").read_text())["n"] == 5
 
 
 class TestStartup:
@@ -171,8 +239,21 @@ class TestStartup:
             f"assert refscale.cli.main({['verify', *_args(tmp_path / 'out')]!r}) == 0\n"
             "assert 'scipy' not in sys.modules, 'refscale verify'\n"
         )
-        path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_resource_warnings(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        for command in ("score", "fit"):
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "refscale.cli", command,
+                 *_args(out)], env=_src_env(), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert "ResourceWarning" not in proc.stderr, command
+
+
+def _src_env():
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -47,14 +47,17 @@ def _set_up(corpus: str, root: Path) -> None:
     generator.generate(corpus, PANEL9_SEED, root)
 
 
-def run_manifest(corpus: str, root: Path) -> str:
-    """Run the corpus's commands in ``root`` and return the bundle manifest."""
+def run_manifest(corpus: str, root: Path, drop_fixtures: bool = False) -> str:
+    """Run the corpus's commands in ``root`` and return the bundle manifest.
+    With ``drop_fixtures`` the fixture directory is deleted after verify."""
     _set_up(corpus, root)
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for command in RUNS[corpus]:
             assert main(command[:1] + PATHS + command[1:]) == 0, command
+            if drop_fixtures and command == ["verify"]:
+                shutil.rmtree("fixtures")
     finally:
         os.chdir(cwd)
     out = root / "out"
@@ -68,6 +71,12 @@ def run_manifest(corpus: str, root: Path) -> str:
 def test_bundle_matches_golden_manifest(corpus, tmp_path):
     got = run_manifest(corpus, tmp_path)
     expected = (GOLDEN / f"{corpus}.sha256").read_text()
+    assert got.splitlines() == expected.splitlines()
+
+
+def test_demo_reads_no_fixtures_after_verify(tmp_path):
+    got = run_manifest("demo", tmp_path, drop_fixtures=True)
+    expected = (GOLDEN / "demo.sha256").read_text()
     assert got.splitlines() == expected.splitlines()
 
 

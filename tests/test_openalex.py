@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -7,9 +8,9 @@ from refscale.openalex import (
     FixtureCache,
     FixtureMiss,
     OpenAlexClient,
-    match_work,
     request_fingerprint,
 )
+from refscale.verification import match_work
 
 from conftest import make_fixture
 
@@ -47,6 +48,28 @@ class TestCache:
         cache.put("a" * 64, "e", {}, {})
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_two_writers_of_one_fingerprint(self, tmp_path, monkeypatch):
+        # A second writer of the same entry runs to completion while the
+        # first sits between writing its temp file and renaming it.
+        cache = FixtureCache(tmp_path)
+        fp = "b" * 64
+        real_replace = os.replace
+        sources = []
+
+        def replace(src, dst):
+            sources.append(src)
+            if len(sources) == 1:
+                cache.put(fp, "e", {}, {"writer": 2})
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        cache.put(fp, "e", {}, {"writer": 1})
+        monkeypatch.undo()
+        assert len(set(sources)) == 2
+        assert all(os.path.dirname(src) == str(tmp_path) for src in sources)
+        assert cache.get(fp)["body"] == {"writer": 1}
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestClientOffline:
     def test_fixture_miss_is_hard_error(self, tmp_path):
@@ -65,7 +88,7 @@ class TestClientOffline:
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
         (got,) = client.search_candidates("A study")
         assert got == ExternalWork.from_json(work)
-        assert client.citation_count(got) == 3
+        assert got.cited_by_count == 3
 
     def test_topic_works_count(self, tmp_path):
         make_fixture(tmp_path, "works_count",

@@ -123,16 +123,16 @@ class FixtureCache:
 
     def put(self, fingerprint: str, endpoint: str, params: dict, body) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        entry = {
+        text = json.dumps({
             "fingerprint": fingerprint,
             "request": {"endpoint": endpoint, "params": params},
             "body": body,
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
+        }, sort_keys=True, indent=1)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{fingerprint}.",
                                    suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(entry, sort_keys=True, indent=1))
+            handle.write(text)
         os.replace(tmp, self._path(fingerprint))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -38,6 +38,23 @@ ARCHITECTURES = ("dense", "dense-cot", "moe", "moe-cot", "unknown")
 
 class IngestError(ValueError):
     """Malformed or referentially inconsistent dataset record."""
+
+
+# Accepted JSON types, and their description, for each field annotation of
+# the record dataclasses below. A bool is never a number.
+_FIELD_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "true or false"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+    "Optional[float]": ((int, float, type(None)), "a number or null"),
+}
+
+
+def _check_type(where: str, name: str, value, annotation: str) -> None:
+    kinds, text = _FIELD_TYPES[annotation]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise IngestError(f"{where}: {name} must be {text}, got {value!r}")
 
 
 @dataclass
@@ -160,54 +177,76 @@ def ingest_dataset(path) -> Dataset:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise IngestError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: expected a JSON object with models, topics "
+                          f"and generations, got a {type(doc).__name__}")
 
     models: Dict[str, ModelSpec] = {}
-    for i, rec in enumerate(doc.get("models", [])):
-        try:
-            spec = ModelSpec(**rec)
-        except TypeError as err:
-            raise IngestError(f"models[{i}]: {err}") from err
+    for where, rec in _records(doc, "models"):
+        spec = _build(ModelSpec, where, rec)
         if spec.name in models:
-            raise IngestError(f"models[{i}]: duplicate model name {spec.name!r}")
+            raise IngestError(f"{where}: duplicate model name {spec.name!r}")
         models[spec.name] = spec
 
     topics: Dict[str, TopicSpec] = {}
-    for i, rec in enumerate(doc.get("topics", [])):
-        try:
-            spec = TopicSpec(**rec)
-        except TypeError as err:
-            raise IngestError(f"topics[{i}]: {err}") from err
+    for where, rec in _records(doc, "topics"):
+        spec = _build(TopicSpec, where, rec)
         if spec.name in topics:
-            raise IngestError(f"topics[{i}]: duplicate topic name {spec.name!r}")
+            raise IngestError(f"{where}: duplicate topic name {spec.name!r}")
         topics[spec.name] = spec
 
     generations: List[RawGeneration] = []
-    for i, rec in enumerate(doc.get("generations", [])):
-        try:
-            gen = RawGeneration(**rec)
-        except TypeError as err:
-            raise IngestError(f"generations[{i}]: {err}") from err
+    for where, rec in _records(doc, "generations"):
+        gen = _build(RawGeneration, where, rec)
         if gen.model not in models:
-            raise IngestError(f"generations[{i}]: unknown model key {gen.model!r}")
+            raise IngestError(f"{where}: unknown model key {gen.model!r}")
         if gen.topic not in topics:
-            raise IngestError(f"generations[{i}]: unknown topic key {gen.topic!r}")
+            raise IngestError(f"{where}: unknown topic key {gen.topic!r}")
         generations.append(gen)
 
     labels: Dict[Tuple[str, str, int], RelevanceLabel] = {}
-    for i, rec in enumerate(doc.get("relevance_labels", [])):
+    for where, rec in _records(doc, "relevance_labels"):
         model, topic = rec.get("model"), rec.get("topic")
-        if model not in models:
-            raise IngestError(f"relevance_labels[{i}]: unknown model key {model!r}")
-        if topic not in topics:
-            raise IngestError(f"relevance_labels[{i}]: unknown topic key {topic!r}")
+        if not isinstance(model, str) or model not in models:
+            raise IngestError(f"{where}: unknown model key {model!r}")
+        if not isinstance(topic, str) or topic not in topics:
+            raise IngestError(f"{where}: unknown topic key {topic!r}")
+        if "reference_index" not in rec:
+            raise IngestError(f"{where}: missing field 'reference_index'")
+        _check_type(where, "reference_index", rec["reference_index"], "int")
         try:
             label = RelevanceLabel(rec["label"])
         except (KeyError, ValueError) as err:
-            raise IngestError(f"relevance_labels[{i}]: bad label: {err}") from err
-        labels[(model, topic, int(rec["reference_index"]))] = label
+            raise IngestError(f"{where}: bad label: {err}") from err
+        labels[(model, topic, rec["reference_index"])] = label
 
     return Dataset(models=models, topics=topics, generations=generations,
                    relevance_labels=labels)
+
+
+def _records(doc: dict, section: str) -> Iterable[Tuple[str, dict]]:
+    """(``section[i]``, record) for each object in one top-level array."""
+    recs = doc.get(section, [])
+    if not isinstance(recs, list):
+        raise IngestError(f"{section}: expected a list of records, "
+                          f"got a {type(recs).__name__}")
+    for i, rec in enumerate(recs):
+        where = f"{section}[{i}]"
+        if not isinstance(rec, dict):
+            raise IngestError(f"{where}: expected an object, got {rec!r}")
+        yield where, rec
+
+
+def _build(cls, where: str, rec: dict):
+    """``cls(**rec)`` after checking each field's JSON type, with every fault
+    prefixed by the record's position."""
+    for f in fields(cls):
+        if f.name in rec:
+            _check_type(where, f.name, rec[f.name], f.type)
+    try:
+        return cls(**rec)
+    except (TypeError, IngestError) as err:
+        raise IngestError(f"{where}: {err}") from err
 
 
 def dedup_cell(refs: Sequence[ParsedReference]) -> List[ParsedReference]:

@@ -21,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "ExternalWork",
@@ -101,15 +101,23 @@ class FixtureCache:
     Writes are atomic (a uniquely named temp file in the same directory, then
     a rename) so parallel workers never observe a torn entry and two writers
     of one fingerprint never share a temp file.
+
+    Each instance reads an entry from disk once and then serves the decoded
+    entry from memory; callers must not mutate it. Misses and corrupt files
+    are not remembered, so they are looked up, and raise, on every call.
     """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
+        self._entries: Dict[str, dict] = {}
 
     def _path(self, fingerprint: str) -> Path:
         return self.directory / f"{fingerprint}.json"
 
     def get(self, fingerprint: str) -> Optional[dict]:
+        entry = self._entries.get(fingerprint)
+        if entry is not None:
+            return entry
         path = self._path(fingerprint)
         if not path.exists():
             return None
@@ -119,6 +127,7 @@ class FixtureCache:
             raise IOError(f"corrupt fixture {path}: invalid JSON: {err}") from err
         if not isinstance(entry, dict) or "body" not in entry:
             raise IOError(f"corrupt fixture {path}: no 'body' field")
+        self._entries[fingerprint] = entry
         return entry
 
     def put(self, fingerprint: str, endpoint: str, params: dict, body) -> None:
@@ -134,6 +143,7 @@ class FixtureCache:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, self._path(fingerprint))
+        self._entries.pop(fingerprint, None)
 
 
 class _RateLimiter:
@@ -156,7 +166,7 @@ class OpenAlexClient:
 
     Topic count queries phrase-quote the topic string; unquoted counts differ
     by orders of magnitude, so the quoting choice is part of the request
-    fingerprint and is reported in output metadata.
+    fingerprint.
     """
 
     def __init__(
@@ -260,10 +270,19 @@ class OpenAlexClient:
         return int(body["count"])
 
     def search_candidates(self, title: str, max_n: int = 25) -> List[ExternalWork]:
-        """Service-ranked candidate works for a claimed title."""
+        """The first ``max_n`` service-ranked candidate works for a claimed
+        title; lower-ranked results are not parsed."""
         if not title or not title.strip():
             raise ValueError("title must be non-empty")
         if max_n <= 0:
             return []
-        body = self._fetch("works_search", {"title": title})
-        return [ExternalWork.from_json(w) for w in body["results"][:max_n]]
+        params = {"title": title}
+        body = self._fetch("works_search", params)
+        results = body.get("results") if isinstance(body, dict) else None
+        try:
+            if not isinstance(results, list):
+                raise ValueError("works_search body has no 'results' list")
+            return [ExternalWork.from_json(w) for w in results[:max_n]]
+        except (KeyError, TypeError, ValueError) as err:
+            path = self.cache._path(request_fingerprint("works_search", params))
+            raise IOError(f"corrupt fixture {path}: {type(err).__name__}: {err}") from err

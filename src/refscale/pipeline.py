@@ -101,9 +101,10 @@ def verify_corpus(
 ) -> Dict[RefKey, VerificationResult]:
     """Verify every analysed reference.
 
-    In offline mode, fixture misses are collected across the whole corpus and
-    raised as one batch so the operator sees every missing fingerprint at
-    once.
+    Only the top-ranked candidate is ever eligible (see ``match_work``), so
+    only it is requested. In offline mode, fixture misses are collected
+    across the whole corpus and raised as one batch so the operator sees
+    every missing fingerprint at once.
     """
     results: Dict[RefKey, VerificationResult] = {}
     misses: List[FixtureMiss] = []
@@ -111,7 +112,7 @@ def verify_corpus(
     for key in sorted(corpus.refs):
         ref = corpus.refs[key]
         try:
-            candidates = client.search_candidates(ref.title)
+            candidates = client.search_candidates(ref.title, max_n=1)
         except FixtureMiss as miss:
             if miss.fingerprint not in seen_fingerprints:
                 seen_fingerprints.add(miss.fingerprint)

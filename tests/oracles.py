@@ -1,15 +1,32 @@
-"""Reference implementations that the statistics hot paths replaced.
+"""Reference implementations that the statistics and verify hot paths
+replaced.
 
 Each is the earlier code, kept verbatim where it can be, so that the faster
-versions in ``refscale.stats`` and ``refscale.zipflaw`` can be checked
-against it for exact equality.
+versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.citations``
+and ``refscale.pipeline`` can be checked against it for exact equality.
 """
 
+import json
 import math
+import re
+import unicodedata
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 from scipy import stats as sps
+
+from refscale.openalex import ExternalWork, FixtureMiss, request_fingerprint
+from refscale.pipeline import FixtureMissBatch
+from refscale.verification import (
+    FIELD_KINDS,
+    FieldVerdict,
+    Status,
+    VerificationResult,
+    authenticity_score,
+    classify_field,
+    classify_status,
+)
 
 
 def ranks(values) -> np.ndarray:
@@ -87,3 +104,109 @@ def bootstrap_alpha_ci(samples, x_min: float, resamples: int, seed: int):
     alphas = 1.0 + len(x) / np.maximum(sums, 1e-300)
     lower, upper = np.percentile(alphas, [2.5, 97.5])
     return float(lower), float(upper)
+
+
+# -- verify: the per-reference loop, before the per-title memos --------------
+
+def normalize_title(s: str) -> str:
+    """Un-memoised ``refscale.citations.normalize_title``."""
+    folded = unicodedata.normalize("NFKD", s).casefold()
+    return "".join(
+        ch for ch in folded if not unicodedata.combining(ch) and ch.isalnum()
+    )
+
+
+def content_words(s: str, stopwords) -> set:
+    """Un-memoised ``refscale.citations.content_words``."""
+    tokens = re.findall(r"[^\W_]+", s, re.UNICODE)
+    normed = (normalize_title(t) for t in tokens)
+    return {t for t in normed if t and t not in stopwords}
+
+
+def content_word_overlap(a: str, b: str, stopwords) -> float:
+    wa = content_words(a, stopwords)
+    if not wa:
+        return 0.0
+    wb = content_words(b, stopwords)
+    return len(wa & wb) / len(wa)
+
+
+def search_candidates(fixtures, title: str, max_n: int = 25):
+    """Every parsed candidate, with the fixture read from disk on each call."""
+    params = {"title": title}
+    fp = request_fingerprint("works_search", params)
+    path = Path(fixtures) / f"{fp}.json"
+    if not path.exists():
+        raise FixtureMiss(fp, "works_search", params)
+    body = json.loads(path.read_text())["body"]
+    return [ExternalWork.from_json(w) for w in body["results"][:max_n]]
+
+
+def match_work(claimed_title, candidates, stopwords, threshold=0.5):
+    if not candidates:
+        return None
+    top = candidates[0]
+    if content_word_overlap(claimed_title, top.title, stopwords) >= threshold:
+        return top
+    return None
+
+
+def verify_reference(ref, candidates, stopwords, overlap_threshold=0.5,
+                     contradiction_penalty=-1.0):
+    work = match_work(ref.title, candidates, stopwords, overlap_threshold)
+    claimed = {
+        "title": ref.title,
+        "identifier": ref.identifier,
+        "authors": ref.authors,
+        "year": ref.year,
+        "venue": ref.venue,
+    }
+    if work is None:
+        verdicts = {
+            k: (FieldVerdict.ABSENT if claimed[k] in (None, "", []) else FieldVerdict.UNCONFIRMED)
+            for k in FIELD_KINDS
+        }
+        return VerificationResult(
+            verdicts=verdicts,
+            authenticity=authenticity_score(verdicts, contradiction_penalty),
+            status=Status.UNVERIFIED,
+            matched_candidate=None,
+        )
+    cand = {
+        "title": work.title,
+        "identifier": work.doi,
+        "authors": work.authors,
+        "year": work.year,
+        "venue": work.venue,
+    }
+    verdicts = {k: classify_field(k, claimed[k], cand[k]) for k in FIELD_KINDS}
+    return VerificationResult(
+        verdicts=verdicts,
+        authenticity=authenticity_score(verdicts, contradiction_penalty),
+        status=classify_status(verdicts, matched=True),
+        matched_candidate=work.id,
+        cited_by_count=work.cited_by_count,
+    )
+
+
+def verify_corpus(corpus, fixtures, stopwords, overlap_threshold=0.5,
+                  contradiction_penalty=-1.0):
+    """One fixture read and the full candidate list per analysed reference."""
+    results = {}
+    misses = []
+    seen_fingerprints = set()
+    for key in sorted(corpus.refs):
+        ref = corpus.refs[key]
+        try:
+            candidates = search_candidates(fixtures, ref.title)
+        except FixtureMiss as miss:
+            if miss.fingerprint not in seen_fingerprints:
+                seen_fingerprints.add(miss.fingerprint)
+                misses.append(miss)
+            continue
+        results[key] = verify_reference(
+            ref, candidates, stopwords, overlap_threshold, contradiction_penalty
+        )
+    if misses:
+        raise FixtureMissBatch(misses)
+    return results

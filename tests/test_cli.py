@@ -129,7 +129,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("corrupt", [
         lambda entry: json.dumps(entry)[:7],
         lambda entry: json.dumps({k: v for k, v in entry.items() if k != "body"}),
-    ], ids=["truncated", "no-body"])
+        lambda entry: json.dumps({**entry, "body": {}}),
+        lambda entry: json.dumps({**entry, "body": {"results": [{"title": "x"}]}}),
+    ], ids=["truncated", "no-body", "no-results", "top-result-without-id"])
     def test_corrupt_fixture_exit_code(self, tmp_path, capsys, corrupt):
         fixtures = tmp_path / "fixtures"
         shutil.copytree(DEMO_FIXTURES, fixtures)
@@ -143,6 +145,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert path.name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "expected a JSON object with models, topics and "
+         "generations, got a list"),
+        (lambda doc: {**doc, "relevance_labels": [
+            {k: v for k, v in doc["relevance_labels"][0].items()
+             if k != "reference_index"}]},
+         "relevance_labels[0]: missing field 'reference_index'"),
+        (lambda doc: {**doc, "relevance_labels": [
+            {**doc["relevance_labels"][0], "reference_index": "3"}]},
+         "relevance_labels[0]: reference_index must be an integer, got '3'"),
+        (lambda doc: {**doc, "models": [{**doc["models"][0], "params": "seven"},
+                                        *doc["models"][1:]]},
+         "models[0]: params must be a number or null, got 'seven'"),
+        (lambda doc: {**doc, "models": {}},
+         "models: expected a list of records, got a dict"),
+        (lambda doc: {**doc, "topics": [None]},
+         "topics[0]: expected an object, got None"),
+        (lambda doc: {**doc, "generations": [
+            {**doc["generations"][0], "model": ["nano-1b"]}]},
+         "generations[0]: model must be a string, got ['nano-1b']"),
+    ], ids=["top-level-list", "label-without-index", "label-index-string",
+            "params-string", "models-object", "topic-null", "model-list"])
+    def test_malformed_dataset(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(edit(json.loads(DEMO_DATASET.read_text()))))
+        code = main(["verify", "--dataset", str(path),
+                     "--fixtures", str(DEMO_FIXTURES),
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit", [

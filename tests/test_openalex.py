@@ -70,6 +70,39 @@ class TestCache:
         assert cache.get(fp)["body"] == {"writer": 1}
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_corrupt_entry_raises_on_every_get(self, tmp_path):
+        cache = FixtureCache(tmp_path)
+        fp = "c" * 64
+        (tmp_path / f"{fp}.json").write_text('{"body": ')
+        for _ in range(2):
+            with pytest.raises(IOError, match=fp):
+                cache.get(fp)
+        (tmp_path / f"{fp}.json").write_text('{"body": 1}')
+        assert cache.get(fp)["body"] == 1
+
+    def test_miss_is_not_remembered(self, tmp_path):
+        cache = FixtureCache(tmp_path)
+        assert cache.get(request_fingerprint("e", {})) is None
+        make_fixture(tmp_path, "e", {}, {"count": 1})
+        assert cache.get(request_fingerprint("e", {}))["body"] == {"count": 1}
+
+    def test_entry_read_from_disk_once(self, tmp_path):
+        make_fixture(tmp_path, "e", {}, {"count": 1})
+        fp = request_fingerprint("e", {})
+        cache = FixtureCache(tmp_path)
+        first = cache.get(fp)
+        make_fixture(tmp_path, "e", {}, {"count": 2})
+        assert cache.get(fp) is first
+        assert FixtureCache(tmp_path).get(fp)["body"] == {"count": 2}
+
+    def test_get_after_put_returns_new_entry(self, tmp_path):
+        cache = FixtureCache(tmp_path)
+        fp = request_fingerprint("e", {})
+        cache.put(fp, "e", {}, {"count": 1})
+        assert cache.get(fp)["body"] == {"count": 1}
+        cache.put(fp, "e", {}, {"count": 2})
+        assert cache.get(fp)["body"] == {"count": 2}
+
 
 class TestClientOffline:
     def test_fixture_miss_is_hard_error(self, tmp_path):
@@ -110,6 +143,33 @@ class TestClientOffline:
                      {"results": works})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
         assert len(client.search_candidates("t", max_n=2)) == 2
+
+    def test_lower_ranks_beyond_max_n_not_parsed(self, tmp_path):
+        works = [{"id": "W1", "title": "t", "authors": []},
+                 {"id": "", "title": "t", "authors": []},
+                 {"id": "W3", "title": "t", "authors": [], "cited_by_count": -1}]
+        make_fixture(tmp_path, "works_search", {"title": "t"},
+                     {"results": works})
+        client = OpenAlexClient(fixtures=tmp_path, offline=True)
+        assert [w.id for w in client.search_candidates("t", max_n=1)] == ["W1"]
+        with pytest.raises(IOError, match="work id must be non-empty"):
+            client.search_candidates("t")
+
+    @pytest.mark.parametrize("body, message", [
+        ({}, "no 'results' list"),
+        ({"results": "W1"}, "no 'results' list"),
+        ([], "no 'results' list"),
+        (None, "no 'results' list"),
+        ({"results": ["W1"]}, "TypeError"),
+        ({"results": [{"title": "t"}]}, "KeyError: 'id'"),
+        ({"results": [{"id": "W1", "cited_by_count": "many"}]}, "ValueError"),
+    ])
+    def test_unreadable_body(self, tmp_path, body, message):
+        make_fixture(tmp_path, "works_search", {"title": "t"}, body)
+        fp = request_fingerprint("works_search", {"title": "t"})
+        client = OpenAlexClient(fixtures=tmp_path, offline=True)
+        with pytest.raises(IOError, match=f"corrupt fixture .*{fp}.json: .*{message}"):
+            client.search_candidates("t", max_n=1)
 
 
 class TestLiveQueryShapes:

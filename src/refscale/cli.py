@@ -17,7 +17,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import citetail as citetail_mod
 from . import theory as theory_mod
+from .atomic import atomic_write
 from .citations import load_stopwords
 from .dataset import Dataset, IngestError, cells_to_csv, ingest_dataset, model_quality
 from .openalex import FixtureMiss, OpenAlexClient
@@ -86,14 +88,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(json.loads(Path(args.config).read_text()))
-    for key in (
-        "dataset", "fixtures", "output_dir", "offline", "partial_weight",
-        "contradiction_penalty", "seed", "moe_convention", "overlap_threshold",
-        "rate_limit", "mailto",
-    ):
-        flag = getattr(args, key, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[key] = flag
+            values[f.name] = flag
     if values.get("mailto") is None:
         values["mailto"] = os.environ.get("REFSCALE_MAILTO")
     missing = [k for k in ("dataset", "fixtures", "output_dir") if not values.get(k)]
@@ -106,19 +104,12 @@ class UsageError(Exception):
     pass
 
 
-# -- atomic, stamped output helpers -------------------------------------------
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
+# -- stamped output helpers ----------------------------------------------------
 
 def write_json(path: Path, payload: dict, config: RunConfig) -> None:
     payload = dict(payload)
     payload["meta"] = config.stamp()
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: List[str], rows, config: RunConfig) -> None:
@@ -129,7 +120,7 @@ def write_csv(path: Path, header: List[str], rows, config: RunConfig) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def _fmt(x: float, digits: int = 10) -> str:
@@ -150,13 +141,13 @@ def save_results(results, corpus, config: RunConfig) -> None:
                "title": corpus.refs[key].title}
         rec.update(results[key].to_dict())
         lines.append(json.dumps(rec, sort_keys=True))
-    _atomic_write(_results_path(config), "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(_results_path(config), "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_results(config: RunConfig):
     path = _results_path(config)
     if not path.exists():
-        raise UpstreamMissing([str(path)])
+        raise UpstreamMissing(path)
     results = {}
     for n, line in enumerate(path.read_text().splitlines(), 1):
         try:
@@ -170,24 +161,38 @@ def load_results(config: RunConfig):
 
 
 class UpstreamMissing(Exception):
-    def __init__(self, paths: List[str]):
-        super().__init__("missing upstream artifact(s): " + ", ".join(paths))
-        self.paths = paths
+    def __init__(self, path: Path):
+        super().__init__(f"missing upstream artifact: {path}")
 
 
-def make_client(config: RunConfig) -> OpenAlexClient:
-    return OpenAlexClient(
-        fixtures=Path(config.fixtures),
-        offline=config.offline,
-        rate_limit=config.rate_limit,
-        mailto=config.mailto,
-    )
+class RunContext:
+    """One command's inputs. Each is loaded on first use, through its loader
+    and that loader's checks, and then shared by every stage the command runs."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        return ingest_dataset(self.config.dataset)
+
+    @cached_property
+    def results(self) -> Dict[Tuple[str, str, int], VerificationResult]:
+        return load_results(self.config)
+
+    @cached_property
+    def cells(self) -> List[Dict[str, str]]:
+        return _load_cells(self.config)
+
+    @cached_property
+    def fit(self) -> SigmoidFit:
+        return _load_fit(self.config)
 
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_ingest(config: RunConfig) -> int:
-    dataset = ingest_dataset(config.dataset)
+def cmd_ingest(ctx: RunContext) -> int:
+    config, dataset = ctx.config, ctx.dataset
     counts = dataset.cell_counts()
     write_json(
         Path(config.output_dir) / "ingest_report.json",
@@ -205,11 +210,12 @@ def cmd_ingest(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    dataset = ingest_dataset(config.dataset)
-    corpus = parse_corpus(dataset)
+def cmd_verify(ctx: RunContext) -> int:
+    config = ctx.config
+    corpus = parse_corpus(ctx.dataset)
     stopwords = load_stopwords()
-    client = make_client(config)
+    client = OpenAlexClient(fixtures=Path(config.fixtures), offline=config.offline,
+                            rate_limit=config.rate_limit, mailto=config.mailto)
     results = verify_corpus(
         corpus, client, stopwords,
         overlap_threshold=config.overlap_threshold,
@@ -224,7 +230,7 @@ def cmd_verify(config: RunConfig) -> int:
         config,
     )
     failures = "\n".join(json.dumps(f, sort_keys=True) for f in corpus.failures)
-    _atomic_write(Path(config.output_dir) / "parse_failures.jsonl",
+    atomic_write(Path(config.output_dir) / "parse_failures.jsonl",
                   failures + ("\n" if failures else ""))
     print(f"accounting: requested {acct.requested} / produced {acct.produced} "
           f"/ analysed {acct.analysed}")
@@ -238,11 +244,9 @@ def _status_counts(results) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def cmd_score(config: RunConfig) -> int:
-    dataset = ingest_dataset(config.dataset)
-    corpus = parse_corpus(dataset)
-    results = load_results(config)
-    cells, omitted = score_corpus(dataset, corpus, results, config.partial_weight)
+def cmd_score(ctx: RunContext) -> int:
+    config, results, dataset = ctx.config, ctx.results, ctx.dataset
+    cells, omitted = score_corpus(dataset, results, config.partial_weight)
     out = Path(config.output_dir)
     cells_to_csv(cells, dataset, out / "observations.csv", config.moe_convention)
     mq = model_quality(cells)
@@ -258,7 +262,7 @@ def cmd_score(config: RunConfig) -> int:
 def _load_cells(config: RunConfig):
     path = Path(config.output_dir) / "observations.csv"
     if not path.exists():
-        raise UpstreamMissing([str(path)])
+        raise UpstreamMissing(path)
     with path.open() as handle:
         rows = list(csv.DictReader(handle))
     missing_s = sorted({r["topic"] for r in rows if not r["log10_works"]})
@@ -269,8 +273,8 @@ def _load_cells(config: RunConfig):
     return rows
 
 
-def cmd_fit(config: RunConfig) -> int:
-    rows = _load_cells(config)
+def cmd_fit(ctx: RunContext) -> int:
+    config, rows = ctx.config, ctx.cells
     fitted = [r for r in rows if r["log10_params"]]
     triples = [
         (float(r["log10_params"]), float(r["log10_works"]), float(r["quality"]))
@@ -338,7 +342,7 @@ def cmd_fit(config: RunConfig) -> int:
               [(_fmt(z, 6), _fmt(float(sigmoid(z)), 8)) for z in zs], config)
 
     # Relevance-weight robustness sweep (needs per-reference scores).
-    sweep_rows = _sweep(config)
+    sweep_rows = _sweep(ctx)
     if sweep_rows is not None:
         write_csv(out / "partial_weight_sweep.csv",
                   ["partial_weight", "sigmoid_r2", "loglinear_r2",
@@ -352,9 +356,8 @@ def cmd_fit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep(config: RunConfig):
-    dataset = ingest_dataset(config.dataset)
-    results = load_results(config)
+def _sweep(ctx: RunContext):
+    config, dataset, results = ctx.config, ctx.dataset, ctx.results
     if not dataset.relevance_labels:
         return None
     by_cell: Dict[Tuple[str, str], CellRefs] = {}
@@ -432,9 +435,9 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
     return EXIT_OK
 
 
-def cmd_theory(config: RunConfig) -> int:
+def cmd_theory(ctx: RunContext) -> int:
+    config, fit = ctx.config, ctx.fit
     out = Path(config.output_dir)
-    fit = _load_fit(config)
     lin = theory_mod.linearize(fit)
     slope_table = []
     for alpha_z in (1.00, 1.23, 1.24):
@@ -477,15 +480,15 @@ def cmd_theory(config: RunConfig) -> int:
 def _load_fit(config: RunConfig) -> SigmoidFit:
     path = Path(config.output_dir) / "fit_report.json"
     if not path.exists():
-        raise UpstreamMissing([str(path)])
+        raise UpstreamMissing(path)
     return SigmoidFit(**json.loads(path.read_text())["sigmoid"])
 
 
-def cmd_citetail(config: RunConfig, min_n: int, resamples: int) -> int:
-    dataset = ingest_dataset(config.dataset)
-    samples = citetail_mod.build_citation_samples(load_results(config))
+def cmd_citetail(ctx: RunContext, min_n: int, resamples: int) -> int:
+    config = ctx.config
+    samples = citetail_mod.build_citation_samples(ctx.results)
     params = {name: spec.fit_params(config.moe_convention)
-              for name, spec in dataset.models.items()}
+              for name, spec in ctx.dataset.models.items()}
     report = citetail_mod.citation_gradient(
         samples, params, min_n=min_n, resamples=resamples, seed=config.seed)
     out = Path(config.output_dir)
@@ -516,23 +519,21 @@ def cmd_citetail(config: RunConfig, min_n: int, resamples: int) -> int:
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig, min_n: int, resamples: int) -> int:
+def cmd_report(ctx: RunContext, min_n: int, resamples: int) -> int:
+    config = ctx.config
     out = Path(config.output_dir)
-    missing = [str(out / name) for name in ("verification.jsonl",)
-               if not (out / name).exists()]
-    if missing:
-        raise UpstreamMissing(missing)
-    cmd_score(config)
-    cmd_fit(config)
-    cmd_theory(config)
+    # Each stage by its module-level name, which perfbench's tracer patches.
+    cmd_score(ctx)
+    cmd_fit(ctx)
+    cmd_theory(ctx)
     try:
-        cmd_citetail(config, min_n=min_n, resamples=resamples)
+        cmd_citetail(ctx, min_n=min_n, resamples=resamples)
     except ValueError as err:
         write_json(out / "citetail_report.json",
                    {"skipped": str(err)}, config)
 
     # Model x topic quality matrix.
-    rows = _load_cells(config)
+    rows = ctx.cells
     models = sorted({r["model"] for r in rows})
     topics = sorted({r["topic"] for r in rows},
                     key=lambda t: -float(next(r["log10_works"] for r in rows
@@ -547,12 +548,10 @@ def cmd_report(config: RunConfig, min_n: int, resamples: int) -> int:
         f"run config hash: {config.hash()}  seed: {config.seed}",
         f"artifacts in: {out}",
     ]
-    fit = json.loads((out / "fit_report.json").read_text())
-    sig = fit["sigmoid"]
-    summary.append(
-        "sigmoid: alpha={alpha:.3f} beta={beta:.3f} gamma={gamma:.3f} "
-        "r2={r2:.3f} n={n}".format(**sig))
-    _atomic_write(out / "summary.txt", "\n".join(summary) + "\n")
+    sig = ctx.fit
+    summary.append(f"sigmoid: alpha={sig.alpha:.3f} beta={sig.beta:.3f} "
+                   f"gamma={sig.gamma:.3f} r2={sig.r2:.3f} n={sig.n}")
+    atomic_write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
     return EXIT_OK
 
@@ -612,22 +611,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args)
+        ctx = RunContext(config)
         if args.command == "ingest":
-            return cmd_ingest(config)
+            return cmd_ingest(ctx)
         if args.command == "verify":
-            return cmd_verify(config)
+            return cmd_verify(ctx)
         if args.command == "score":
-            return cmd_score(config)
+            return cmd_score(ctx)
         if args.command == "fit":
-            return cmd_fit(config)
+            return cmd_fit(ctx)
         if args.command == "zipf":
             return cmd_zipf(config, args.counts, args.window)
         if args.command == "theory":
-            return cmd_theory(config)
+            return cmd_theory(ctx)
         if args.command == "citetail":
-            return cmd_citetail(config, args.min_n, args.resamples)
+            return cmd_citetail(ctx, args.min_n, args.resamples)
         if args.command == "report":
-            return cmd_report(config, args.min_n, args.resamples)
+            return cmd_report(ctx, args.min_n, args.resamples)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -10,12 +10,14 @@ position of the citation in the model's split output for that topic.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .atomic import atomic_write
 from .citations import ParsedReference, normalize_title
 from .verification import RelevanceLabel, VerificationResult, relevance_value
 
@@ -133,19 +135,12 @@ class ObservationCell:
 
     model: str
     topic: str
-    n_requested: int
-    n_produced: int
     n_analysed: int
     authenticity_mean: float
     relevance_mean: float
     quality: float
 
     def __post_init__(self) -> None:
-        if not self.n_analysed <= self.n_produced <= self.n_requested:
-            raise ValueError(
-                f"({self.model}, {self.topic}): "
-                "need n_analysed <= n_produced <= n_requested"
-            )
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError(f"quality out of range: {self.quality}")
 
@@ -271,8 +266,6 @@ def build_observations(
     results: Mapping[Tuple[str, str, int], VerificationResult],
     relevance_labels: Optional[Mapping[Tuple[str, str, int], RelevanceLabel]] = None,
     partial_weight: float = 0.50,
-    produced_counts: Optional[Mapping[Tuple[str, str], int]] = None,
-    n_requested: int = 10,
 ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
     """Aggregate per-reference results into one cell per (model, topic).
 
@@ -301,13 +294,10 @@ def build_observations(
             omitted.append(key)
             continue
         n = len(pairs)
-        produced = produced_counts.get(key, n) if produced_counts else n
         cells.append(
             ObservationCell(
                 model=key[0],
                 topic=key[1],
-                n_requested=max(n_requested, produced),
-                n_produced=produced,
                 n_analysed=n,
                 authenticity_mean=sum(a for a, _ in pairs) / n,
                 relevance_mean=sum(r for _, r in pairs) / n,
@@ -332,19 +322,21 @@ def cells_to_csv(
     path,
     moe_convention: str = "total",
 ) -> None:
-    """CSV with columns model, topic, log10_params, log10_works, quality."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "topic", "log10_params", "log10_works", "quality"])
-        for cell in cells:
-            params = dataset.models[cell.model].fit_params(moe_convention)
-            works = dataset.topics[cell.topic].works_count
-            writer.writerow(
-                [
-                    cell.model,
-                    cell.topic,
-                    "" if params is None else f"{math.log10(params):.10g}",
-                    "" if works <= 0 else f"{math.log10(works):.10g}",
-                    f"{cell.quality:.10g}",
-                ]
-            )
+    """CSV with columns model, topic, log10_params, log10_works, quality,
+    written atomically with the csv module's CRLF row endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["model", "topic", "log10_params", "log10_works", "quality"])
+    for cell in cells:
+        params = dataset.models[cell.model].fit_params(moe_convention)
+        works = dataset.topics[cell.topic].works_count
+        writer.writerow(
+            [
+                cell.model,
+                cell.topic,
+                "" if params is None else f"{math.log10(params):.10g}",
+                "" if works <= 0 else f"{math.log10(works):.10g}",
+                f"{cell.quality:.10g}",
+            ]
+        )
+    atomic_write(path, buf.getvalue())

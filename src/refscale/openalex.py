@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from .atomic import atomic_write
 
 __all__ = [
     "ExternalWork",
@@ -98,9 +98,8 @@ def request_fingerprint(endpoint: str, params: dict) -> str:
 class FixtureCache:
     """Content-addressed directory of recorded responses.
 
-    Writes are atomic (a uniquely named temp file in the same directory, then
-    a rename) so parallel workers never observe a torn entry and two writers
-    of one fingerprint never share a temp file.
+    Writes go through ``atomic_write``, so parallel workers never observe a
+    torn entry and two writers of one fingerprint never share a temp file.
 
     Each instance reads an entry from disk once and then serves the decoded
     entry from memory; callers must not mutate it. Misses and corrupt files
@@ -131,18 +130,12 @@ class FixtureCache:
         return entry
 
     def put(self, fingerprint: str, endpoint: str, params: dict, body) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        text = json.dumps({
+        atomic_write(self._path(fingerprint), json.dumps({
             "fingerprint": fingerprint,
             "request": {"endpoint": endpoint, "params": params},
             "body": body,
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }, sort_keys=True, indent=1)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{fingerprint}.",
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, self._path(fingerprint))
+        }, sort_keys=True, indent=1))
         self._entries.pop(fingerprint, None)
 
 

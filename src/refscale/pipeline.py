@@ -42,7 +42,6 @@ class ParsedCorpus:
     model's split output."""
 
     refs: Dict[RefKey, ParsedReference]
-    produced_counts: Dict[Tuple[str, str], int]
     accounting: Accounting
     failures: List[dict] = field(default_factory=list)
 
@@ -61,7 +60,6 @@ class FixtureMissBatch(RuntimeError):
 def parse_corpus(dataset: Dataset) -> ParsedCorpus:
     """Split, parse, and deduplicate every generation in the dataset."""
     refs: Dict[RefKey, ParsedReference] = {}
-    produced_counts: Dict[Tuple[str, str], int] = {}
     acct = Accounting()
     failures: List[dict] = []
     for gen in dataset.generations:
@@ -77,7 +75,6 @@ def parse_corpus(dataset: Dataset) -> ParsedCorpus:
                     {"model": gen.model, "topic": gen.topic, "index": idx,
                      "raw": err.raw, "reason": err.reason}
                 )
-        produced_counts[(gen.model, gen.topic)] = len(parsed)
         acct.produced += len(parsed)
         kept = dedup_cell([r for _, r in parsed])
         kept_ids = {id(r) for r in kept}
@@ -86,10 +83,7 @@ def parse_corpus(dataset: Dataset) -> ParsedCorpus:
                 refs[(gen.model, gen.topic, idx)] = ref
         acct.dedup_removed += len(parsed) - len(kept)
         acct.analysed += len(kept)
-    return ParsedCorpus(
-        refs=refs, produced_counts=produced_counts,
-        accounting=acct, failures=failures,
-    )
+    return ParsedCorpus(refs=refs, accounting=acct, failures=failures)
 
 
 def verify_corpus(
@@ -128,14 +122,8 @@ def verify_corpus(
 
 def score_corpus(
     dataset: Dataset,
-    corpus: ParsedCorpus,
     results: Mapping[RefKey, VerificationResult],
     partial_weight: float = 0.50,
 ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
     """Aggregate verification results into observation cells."""
-    return build_observations(
-        dataset,
-        results,
-        partial_weight=partial_weight,
-        produced_counts=corpus.produced_counts,
-    )
+    return build_observations(dataset, results, partial_weight=partial_weight)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,16 @@ def demo_dataset_path():
 @pytest.fixture(scope="session")
 def demo_fixtures_path():
     return DEMO_FIXTURES
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    """Run the test under each of two process umasks, restored afterwards."""
+    old = os.umask(request.param)
+    try:
+        yield request.param
+    finally:
+        os.umask(old)
 
 
 def make_fixture(directory: Path, endpoint: str, params: dict, body) -> None:

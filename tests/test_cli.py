@@ -1,12 +1,15 @@
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from refscale import cli
 from refscale.cli import main
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
@@ -109,8 +112,18 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
 
-    def test_score_before_verify(self, tmp_path):
-        assert main(["score", *_args(tmp_path / "fresh")]) == 2
+    @pytest.mark.parametrize("command, missing", [
+        ("score", "verification.jsonl"),
+        ("fit", "observations.csv"),
+        ("theory", "fit_report.json"),
+        ("report", "verification.jsonl"),
+    ], ids=["score", "fit", "theory", "report"])
+    def test_stage_before_upstream(self, tmp_path, capsys, command, missing):
+        out = tmp_path / "fresh"
+        assert main([command, *_args(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / missing) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag", [
         ("verify", "--dataset"),
@@ -197,6 +210,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: line 2" in err
         assert "re-run verify" in err
+
+
+class TestOnePass:
+    LOADERS = ("ingest_dataset", "parse_corpus", "load_results", "_load_cells",
+               "_load_fit")
+
+    def test_report_loads_each_input_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        calls = Counter()
+        for name in self.LOADERS:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["report", *_args(out), "--min-n", "10",
+                     "--resamples", "300"]) == 0
+        # No parse_corpus: scoring needs only the dataset and the results.
+        assert calls == {"ingest_dataset": 1, "load_results": 1,
+                         "_load_cells": 1, "_load_fit": 1}
+
+
+class TestAtomicArtifacts:
+    def test_mode_follows_umask(self, tmp_path, umask):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        assert main(["score", *_args(out)]) == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert "observations.csv" in modes
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+    def test_leftover_tmp_directory(self, tmp_path):
+        out = tmp_path / "out"
+        for name in ("verification.jsonl.tmp", "accounting.json.tmp"):
+            (out / name).mkdir(parents=True)
+        assert main(["verify", *_args(out)]) == 0
+        assert (out / "accounting.json").is_file()
 
 
 class TestConfigFile:

@@ -119,10 +119,11 @@ class TestSpecsValidation:
         assert gen.refusal
 
     def test_cell_invariant(self):
-        with pytest.raises(ValueError):
-            ObservationCell(model="m", topic="t", n_requested=10, n_produced=11,
-                            n_analysed=5, authenticity_mean=0.5,
-                            relevance_mean=0.5, quality=0.25)
+        for quality in (-0.01, 1.01):
+            with pytest.raises(ValueError, match="quality out of range"):
+                ObservationCell(model="m", topic="t", n_analysed=5,
+                                authenticity_mean=0.5, relevance_mean=0.5,
+                                quality=quality)
 
 
 def _pref(title):
@@ -199,11 +200,9 @@ class TestBuildObservations:
 
     def test_model_quality_unweighted_mean(self):
         cells = [
-            ObservationCell(model="m", topic="a", n_requested=10, n_produced=5,
-                            n_analysed=5, authenticity_mean=0.5,
+            ObservationCell(model="m", topic="a", n_analysed=5, authenticity_mean=0.5,
                             relevance_mean=1.0, quality=0.2),
-            ObservationCell(model="m", topic="b", n_requested=10, n_produced=5,
-                            n_analysed=5, authenticity_mean=0.5,
+            ObservationCell(model="m", topic="b", n_analysed=5, authenticity_mean=0.5,
                             relevance_mean=1.0, quality=0.6),
         ]
         assert model_quality(cells) == {"m": pytest.approx(0.4)}
@@ -212,8 +211,7 @@ class TestBuildObservations:
 class TestCellsCsv:
     def test_columns_and_logs(self, tmp_path):
         ds = _two_cell_dataset()
-        cells = [ObservationCell(model="m1", topic="t1", n_requested=10,
-                                 n_produced=5, n_analysed=5,
+        cells = [ObservationCell(model="m1", topic="t1", n_analysed=5,
                                  authenticity_mean=0.5, relevance_mean=1.0,
                                  quality=0.5)]
         out = tmp_path / "cells.csv"

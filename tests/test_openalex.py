@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -69,6 +70,11 @@ class TestCache:
         assert all(os.path.dirname(src) == str(tmp_path) for src in sources)
         assert cache.get(fp)["body"] == {"writer": 1}
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_entry_mode_follows_umask(self, tmp_path, umask):
+        fp = "d" * 64
+        FixtureCache(tmp_path).put(fp, "e", {}, {})
+        assert stat.S_IMODE((tmp_path / f"{fp}.json").stat().st_mode) == 0o666 & ~umask
 
     def test_corrupt_entry_raises_on_every_get(self, tmp_path):
         cache = FixtureCache(tmp_path)

@@ -69,7 +69,7 @@ def corpora(draw):
 
 
 def _corpus(refs):
-    return ParsedCorpus(refs=refs, produced_counts={}, accounting=Accounting())
+    return ParsedCorpus(refs=refs, accounting=Accounting())
 
 
 def _outcome(run):

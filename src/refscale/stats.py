@@ -307,12 +307,13 @@ def spearman(x, y) -> Tuple[float, float]:
         if abs(rho) >= 1.0:
             p = 0.0
         else:
-            # scipy is imported here only: no other path needs it, and it
-            # is most of the package's import time.
-            from scipy import stats as sps
+            # scipy is imported here only: no other path needs it. stdtr(df,
+            # -t) is the t.sf(t, df) of scipy's stats package, computed as
+            # that package computes it, without its import cost.
+            from scipy.special import stdtr
 
             t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-            p = float(2.0 * sps.t.sf(abs(t), n - 2))
+            p = float(2.0 * stdtr(n - 2, -abs(t)))
     return rho, p
 
 
@@ -416,6 +417,21 @@ def bootstrap_statistic(
     return out
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)`` for rows without NaN, from one partition.
+
+    np.median partitions at both middle columns and at the last one, which
+    is its NaN probe. Partitioning at the upper middle column h alone leaves
+    the lower middle value as the largest of the first h, and the two are
+    summed and halved as np.mean does, so each median is the same float.
+    """
+    h = rows.shape[1] // 2
+    part = np.partition(rows, h, axis=1)
+    if rows.shape[1] % 2:
+        return part[:, h]
+    return (part[:, :h].max(axis=1) + part[:, h]) / 2
+
+
 def bootstrap_median_ci(
     values, resamples: int = 10000, seed: int = 0
 ) -> BootstrapCI:
@@ -424,8 +440,9 @@ def bootstrap_median_ci(
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 values")
-    medians = bootstrap_statistic(
-        values, resamples, seed, lambda rows: np.median(rows, axis=1))
+    if np.isnan(values).any():
+        raise ValueError("median undefined for a sample containing NaN")
+    medians = bootstrap_statistic(values, resamples, seed, _row_medians)
     lower, upper = np.percentile(medians, [2.5, 97.5])
     return BootstrapCI(
         point=float(np.median(values)),

@@ -55,6 +55,11 @@ def spearman(x, y):
     return rho, p
 
 
+def t_sf(t, df) -> float:
+    """Student t survival function, as ``spearman`` above computes it."""
+    return float(sps.t.sf(t, df))
+
+
 def exact_perm_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
     """Share of all orderings of ry whose |rho| reaches |rho_obs|, one at a time."""
     rxc = rx - rx.mean()

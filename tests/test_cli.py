@@ -13,6 +13,7 @@ from refscale import cli
 from refscale.cli import main
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
+from test_golden import PATHS, set_up
 
 
 def _args(out, *extra):
@@ -326,6 +327,23 @@ class TestStartup:
         )
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_report_imports_no_scipy_stats(self, tmp_path):
+        # ttail's per-model and citetail Spearman calls take the t-tail,
+        # which needs scipy.special only; live mode alone needs requests.
+        set_up("ttail", tmp_path)
+        code = (
+            "import sys\n"
+            "import refscale.cli\n"
+            f"assert refscale.cli.main({['verify', *PATHS]!r}) == 0\n"
+            f"assert refscale.cli.main({['report', *PATHS, '--min-n', '10']!r}) == 0\n"
+            "assert 'scipy.special' in sys.modules, 'no t-tail was reached'\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n"
+            "assert 'requests' not in sys.modules, 'requests'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              cwd=tmp_path, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_no_resource_warnings(self, tmp_path):

@@ -54,7 +54,8 @@ MALFORMED = {
 }
 
 
-def _set_up(corpus: str, root: Path) -> None:
+def set_up(corpus: str, root: Path) -> None:
+    """Write the corpus's inputs under ``root``."""
     if corpus == "demo":
         demo = REPO / "data" / "demo"
         shutil.copy(demo / "dataset.json", root / "dataset.json")
@@ -82,7 +83,7 @@ def _set_up(corpus: str, root: Path) -> None:
 def run_manifest(corpus: str, root: Path, drop_fixtures: bool = False) -> str:
     """Run the corpus's commands in ``root`` and return the bundle manifest.
     With ``drop_fixtures`` the fixture directory is deleted after verify."""
-    _set_up(corpus, root)
+    set_up(corpus, root)
     cwd = os.getcwd()
     os.chdir(root)
     try:

@@ -184,6 +184,15 @@ class TestBootstrap:
         c = bootstrap_median_ci(values, resamples=500, seed=8)
         assert (a.lower, a.upper) != (c.lower, c.upper)
 
+    @pytest.mark.parametrize("values", [
+        [1, float("nan"), 3],
+        [float("nan")] * 4,
+        list(range(240)) + [float("nan")],
+    ])
+    def test_nan_rejected(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            bootstrap_median_ci(values, resamples=10, seed=0)
+
     def test_point_is_sample_median(self):
         ci = bootstrap_median_ci([1, 2, 3, 4, 100], resamples=200, seed=0)
         assert ci.point == 3

@@ -5,7 +5,8 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import stdtr
 
 import oracles
 from refscale import stats
@@ -53,7 +54,31 @@ class TestSpearman:
         assert spearman(x, y) == oracles.spearman(x, y)
 
 
+class TestTTail:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, allow_nan=False), df=st.integers(1, 5000))
+    @example(t=0.0, df=1)
+    @example(t=5e-324, df=7)
+    @example(t=1e300, df=5000)
+    @example(t=float("inf"), df=1)
+    @example(t=float("inf"), df=5000)
+    def test_stdtr_equals_t_sf(self, t, df):
+        assert float(stdtr(df, -t)) == oracles.t_sf(t, df)
+
+
 class TestBootstrap:
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(TIED | st.integers(0, 5000).map(float),
+                           min_size=2, max_size=61),
+           resamples=st.integers(1, 200), cells=st.integers(1, 500),
+           seed=st.integers(0, 2**32))
+    def test_median_ci_equals_np_median(self, values, resamples, cells, seed):
+        # Even and odd n from 2 to 61, mostly tied, in blocks of 1 row up.
+        with mock.patch.object(stats, "_BOOTSTRAP_CHUNK_CELLS", cells):
+            ci = bootstrap_median_ci(values, resamples=resamples, seed=seed)
+        assert (ci.point, ci.lower, ci.upper) == oracles.bootstrap_median_ci(
+            values, resamples, seed)
+
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
            resamples=st.integers(1, 200), cells=st.integers(1, 500),

@@ -1,6 +1,6 @@
 """Citation-count gradient analysis: restrict to verified references, take
 the citation count of the work each one was matched to at verification,
-compute per-model median citation counts with bootstrap confidence
+compute per-model median citation counts with exact bootstrap confidence
 intervals, and fit the inverse-variance weighted log-log gradient against
 model size."""
 
@@ -69,10 +69,8 @@ def citation_gradient(
     samples: Sequence[CitationSample],
     params_billions: Mapping[str, Optional[float]],
     min_n: int = 50,
-    resamples: int = 10000,
-    seed: int = 0,
 ) -> GradientReport:
-    """Per-model medians with bootstrap CIs and the weighted log-log fit.
+    """Per-model medians with exact bootstrap CIs and the weighted log-log fit.
 
     Models below ``min_n`` matched references or with unknown parameter
     count are excluded. The point standard error for weighting is the
@@ -96,8 +94,8 @@ def citation_gradient(
     ses: List[float] = []
     p_vals: List[float] = []
     med_vals: List[float] = []
-    for i, sample in enumerate(sorted(qualifying, key=lambda s: s.model)):
-        ci = bootstrap_median_ci(sample.counts, resamples=resamples, seed=seed + i)
+    for sample in sorted(qualifying, key=lambda s: s.model):
+        ci = bootstrap_median_ci(sample.counts)
         medians[sample.model] = ci
         p = float(params_billions[sample.model])
         se_log = _log10_se(ci)

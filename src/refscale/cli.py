@@ -55,6 +55,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_FIXTURE = 3
 
+ZIPF_RESAMPLES = 1000
+
 
 @dataclass
 class RunConfig:
@@ -419,12 +421,13 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
     alpha_ols, se, r2 = fit_zipf_ols(rf)
     x_min = float(min(rf.frequencies))
     alpha_mle = fit_zipf_mle(rf.frequencies, x_min)
-    ci = bootstrap_alpha_ci(rf.frequencies, x_min, resamples=1000, seed=config.seed)
+    ci = bootstrap_alpha_ci(rf.frequencies, x_min, resamples=ZIPF_RESAMPLES,
+                            seed=config.seed)
     out = Path(config.output_dir)
     write_json(out / "zipf_report.json", {
         "alpha_ols": alpha_ols, "alpha_ols_se": se, "ols_r2": r2,
         "alpha_mle": alpha_mle, "x_min": x_min,
-        "bootstrap_ci": [ci.lower, ci.upper], "resamples": ci.resamples,
+        "bootstrap_ci": [ci.lower, ci.upper], "resamples": ZIPF_RESAMPLES,
         "n": len(rf),
     }, config)
     if 3 <= window <= len(rf):
@@ -484,13 +487,13 @@ def _load_fit(config: RunConfig) -> SigmoidFit:
     return SigmoidFit(**json.loads(path.read_text())["sigmoid"])
 
 
-def cmd_citetail(ctx: RunContext, min_n: int, resamples: int) -> int:
+def cmd_citetail(ctx: RunContext, min_n: int) -> int:
     config = ctx.config
     samples = citetail_mod.build_citation_samples(ctx.results)
     params = {name: spec.fit_params(config.moe_convention)
               for name, spec in ctx.dataset.models.items()}
     report = citetail_mod.citation_gradient(
-        samples, params, min_n=min_n, resamples=resamples, seed=config.seed)
+        samples, params, min_n=min_n)
     out = Path(config.output_dir)
     rows = []
     for model in report.included_models:
@@ -519,7 +522,7 @@ def cmd_citetail(ctx: RunContext, min_n: int, resamples: int) -> int:
     return EXIT_OK
 
 
-def cmd_report(ctx: RunContext, min_n: int, resamples: int) -> int:
+def cmd_report(ctx: RunContext, min_n: int) -> int:
     config = ctx.config
     out = Path(config.output_dir)
     # Each stage by its module-level name, which perfbench's tracer patches.
@@ -527,7 +530,7 @@ def cmd_report(ctx: RunContext, min_n: int, resamples: int) -> int:
     cmd_fit(ctx)
     cmd_theory(ctx)
     try:
-        cmd_citetail(ctx, min_n=min_n, resamples=resamples)
+        cmd_citetail(ctx, min_n=min_n)
     except ValueError as err:
         write_json(out / "citetail_report.json",
                    {"skipped": str(err)}, config)
@@ -599,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p)
         p.add_argument("--min-n", dest="min_n", type=int, default=50)
-        p.add_argument("--resamples", type=int, default=10000)
     return parser
 
 
@@ -625,9 +627,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "theory":
             return cmd_theory(ctx)
         if args.command == "citetail":
-            return cmd_citetail(ctx, args.min_n, args.resamples)
+            return cmd_citetail(ctx, args.min_n)
         if args.command == "report":
-            return cmd_report(ctx, args.min_n, args.resamples)
+            return cmd_report(ctx, args.min_n)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -90,10 +90,7 @@ def bootstrap_alpha_ci(
     sums = bootstrap_statistic(logs, resamples, seed, lambda rows: rows.sum(axis=1))
     alphas = 1.0 + n / np.maximum(sums, 1e-300)
     lower, upper = np.percentile(alphas, [2.5, 97.5])
-    return BootstrapCI(
-        point=point, lower=float(lower), upper=float(upper),
-        resamples=resamples, seed=seed,
-    )
+    return BootstrapCI(point=point, lower=float(lower), upper=float(upper))
 
 
 def rolling_window_alpha(

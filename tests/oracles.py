@@ -4,13 +4,16 @@ replaced.
 Each is the earlier code, kept verbatim where it can be, so that the faster
 versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.citations``
 and ``refscale.pipeline`` can be checked against it for exact equality.
+The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
+below, so it is checked against an enumeration of every resample for small
+n and against that Monte Carlo within its sampling error for larger n.
 """
 
 import json
 import math
 import re
 import unicodedata
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,25 @@ def bootstrap_median_ci(values, resamples: int, seed: int):
     medians = bootstrap_medians(values, resamples, seed)
     lower, upper = np.percentile(medians, [2.5, 97.5])
     return float(np.median(values)), float(lower), float(upper)
+
+
+def enumerated_median_law(values):
+    """Sorted distinct medians over all n**n resamples, and how many give each."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    idx = np.array(list(product(range(n), repeat=n)))
+    return np.unique(np.median(values[idx], axis=1), return_counts=True)
+
+
+def enumerated_median_ci(values):
+    """(lower, upper): the smallest medians that at least 2.5% and 97.5% of
+    the n**n resamples reach, compared in integers."""
+    support, counts = enumerated_median_law(values)
+    total = len(values) ** len(values)
+    reached = np.cumsum(counts)
+    lower = support[np.flatnonzero(40 * reached >= total)[0]]
+    upper = support[np.flatnonzero(40 * reached >= 39 * total)[0]]
+    return float(lower), float(upper)
 
 
 def bootstrap_alpha_ci(samples, x_min: float, resamples: int, seed: int):

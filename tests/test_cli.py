@@ -28,10 +28,8 @@ def pipeline_out(tmp_path_factory):
     assert main(["score", *_args(out)]) == 0
     assert main(["fit", *_args(out)]) == 0
     assert main(["theory", *_args(out)]) == 0
-    assert main(["citetail", *_args(out), "--min-n", "10",
-                 "--resamples", "300"]) == 0
-    assert main(["report", *_args(out), "--min-n", "10",
-                 "--resamples", "300"]) == 0
+    assert main(["citetail", *_args(out), "--min-n", "10"]) == 0
+    assert main(["report", *_args(out), "--min-n", "10"]) == 0
     return out
 
 
@@ -226,8 +224,7 @@ class TestOnePass:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
-        assert main(["report", *_args(out), "--min-n", "10",
-                     "--resamples", "300"]) == 0
+        assert main(["report", *_args(out), "--min-n", "10"]) == 0
         # No parse_corpus: scoring needs only the dataset and the results.
         assert calls == {"ingest_dataset": 1, "load_results": 1,
                          "_load_cells": 1, "_load_fit": 1}
@@ -324,6 +321,22 @@ class TestStartup:
             "assert 'scipy' not in sys.modules, 'import refscale.cli'\n"
             f"assert refscale.cli.main({['verify', *_args(tmp_path / 'out')]!r}) == 0\n"
             "assert 'scipy' not in sys.modules, 'refscale verify'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_demo_citetail_and_report_import_no_scipy(self, tmp_path):
+        # Demo's Spearman calls all take the exact n <= 9 path, and the
+        # median CIs need no special functions: no scipy module is loaded.
+        code = (
+            "import sys\n"
+            "import refscale.cli\n"
+            f"assert refscale.cli.main({['verify', *_args(tmp_path / 'out')]!r}) == 0\n"
+            f"assert refscale.cli.main({['citetail', *_args(tmp_path / 'out'), '--min-n', '10']!r}) == 0\n"
+            f"assert refscale.cli.main({['report', *_args(tmp_path / 'out'), '--min-n', '10']!r}) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True)

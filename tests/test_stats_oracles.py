@@ -1,10 +1,14 @@
 """The vectorised statistics kernels against the code they replaced
-(``tests/oracles.py``): every comparison is exact equality."""
+(``tests/oracles.py``): every comparison is exact equality, except that the
+closed-form median bootstrap, the limit of the Monte Carlo it replaced, is
+held to an enumeration of every resample and to that Monte Carlo's error."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import stdtr
 
@@ -66,19 +70,56 @@ class TestTTail:
         assert float(stdtr(df, -t)) == oracles.t_sf(t, df)
 
 
-class TestBootstrap:
+class TestExactMedianCI:
     @settings(max_examples=80, deadline=None)
-    @given(values=st.lists(TIED | st.integers(0, 5000).map(float),
-                           min_size=2, max_size=61),
-           resamples=st.integers(1, 200), cells=st.integers(1, 500),
-           seed=st.integers(0, 2**32))
-    def test_median_ci_equals_np_median(self, values, resamples, cells, seed):
-        # Even and odd n from 2 to 61, mostly tied, in blocks of 1 row up.
-        with mock.patch.object(stats, "_BOOTSTRAP_CHUNK_CELLS", cells):
-            ci = bootstrap_median_ci(values, resamples=resamples, seed=seed)
-        assert (ci.point, ci.lower, ci.upper) == oracles.bootstrap_median_ci(
-            values, resamples, seed)
+    @given(st.lists(TIED | st.integers(0, 9).map(float), min_size=2, max_size=6))
+    @example([0.0, 0.0, 7.25, 7.25])
+    @example([-2.5, 3.0, 3.0, 3.0, 3.0, 7.25])
+    def test_equals_enumeration(self, values):
+        # Both parities, mostly tied; the quantiles compared in integers.
+        ci = bootstrap_median_ci(values)
+        assert (ci.lower, ci.upper) == oracles.enumerated_median_ci(values)
+        support, mass = stats._resample_median_law(np.asarray(values))
+        expected, counts = oracles.enumerated_median_law(values)
+        assert support.tolist() == expected.tolist()
+        np.testing.assert_allclose(mass, counts / len(values) ** len(values),
+                                   rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n, distinct, resamples", [
+        (50, 20, 200_000), (51, 20, 200_000),
+        # A naive C(n, n/2) F^(n/2) overflows float64 here.
+        (5000, 200, 10_000), (5001, 200, 10_000),
+    ])
+    def test_within_monte_carlo_band(self, n, distinct, resamples):
+        values = np.random.default_rng(n).integers(0, distinct, n).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ci = bootstrap_median_ci(values)
+        # oracles.bootstrap_medians, in 16 MB blocks (see the chunk tests).
+        medians = bootstrap_statistic(values, resamples, 1,
+                                      lambda rows: np.median(rows, axis=1))
+        for q, bound in ((0.025, ci.lower), (0.975, ci.upper)):
+            sigma = 4 * np.sqrt(q * (1 - q) / resamples)
+            low, high = np.percentile(medians, [100 * (q - sigma), 100 * (q + sigma)])
+            assert low <= bound <= high, (q, bound, low, high)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 50, 51, 240, 241, 5000, 5001])
+    def test_masses_sum_to_one(self, n):
+        values = np.random.default_rng(n).integers(0, 200, n).astype(float)
+        _, mass = stats._resample_median_law(values)
+        assert mass.min() >= 0
+        assert abs(mass.sum() - 1.0) <= 1e-12
+
+    def test_continuous_sample_keeps_pair_table_small(self):
+        # Every value distinct: only values near the middle enter the table,
+        # about 80k of the 2M pairs.
+        values = np.random.default_rng(0).normal(size=2000)
+        support, mass = stats._resample_median_law(values)
+        assert len(support) < 500_000
+        assert abs(mass.sum() - 1.0) <= 1e-12
+
+
+class TestBootstrap:
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
            resamples=st.integers(1, 200), cells=st.integers(1, 500),
@@ -102,12 +143,6 @@ class TestBootstrap:
             samples, 1.0, resamples, seed)
 
     def test_default_budget_with_ragged_last_chunk(self):
-        # 3000 resamples of 700: blocks of 1497, 1497 and 6 rows.
-        values = np.random.default_rng(3).integers(0, 5000, 700).astype(float)
-        assert 3000 % (stats._BOOTSTRAP_CHUNK_CELLS // 700) != 0
-        ci = bootstrap_median_ci(values, resamples=3000, seed=11)
-        assert (ci.point, ci.lower, ci.upper) == oracles.bootstrap_median_ci(
-            values, 3000, 11)
         # 1000 resamples of 3000: blocks of 349, 349 and 302 rows.
         samples = sample_power_law(1.23, 1.0, 3000, seed=4)
         ci = bootstrap_alpha_ci(samples, 1.0, resamples=1000, seed=5)

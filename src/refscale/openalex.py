@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .atomic import atomic_write
 
@@ -139,6 +139,53 @@ class FixtureCache:
         self._entries.pop(fingerprint, None)
 
 
+_TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
+# A longer Retry-After (the daily quota, say) fails the request at once.
+_MAX_RETRY_AFTER_S = 60.0
+
+
+def _http_get(url: str, timeout: float) -> Tuple[int, Dict[str, str], bytes]:
+    """GET ``url``: (status, headers with lower-case names, body).
+
+    An HTTP error status is returned, not raised; a failure to connect or
+    read raises OSError. This is the client's only network call.
+    """
+    import urllib.error
+    import urllib.request
+
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            return resp.status, _lower_keys(resp.headers), resp.read()
+    except urllib.error.HTTPError as err:
+        with err:
+            return err.code, _lower_keys(err.headers or {}), err.read()
+
+
+def _lower_keys(headers) -> Dict[str, str]:
+    return {name.lower(): value for name, value in headers.items()}
+
+
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """Seconds to wait from a Retry-After value (delay-seconds or an HTTP
+    date), or None when it is absent or unreadable."""
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        pass
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class _RateLimiter:
     def __init__(self, per_second: float):
         self.min_interval = 1.0 / per_second if per_second > 0 else 0.0
@@ -192,26 +239,44 @@ class OpenAlexClient:
         return body
 
     def _fetch_live(self, endpoint: str, params: dict):
-        import requests
+        """One live request, retried on a network failure or a transient
+        status (429 and 5xx gateway errors), never on any other status.
+
+        Between attempts it waits for the response's Retry-After, or else
+        1, 2, 4, ... seconds; it does not wait after the last attempt.
+        """
+        from urllib.parse import urlencode
 
         query = dict(self._live_query(endpoint, params))
         if self.mailto:
             query["mailto"] = self.mailto
-        last_err: Optional[Exception] = None
+        url = f"{API_BASE}/works?{urlencode(query)}"
         for attempt in range(self.max_attempts):
             self._limiter.wait()
+            delay = 2.0 ** attempt
             try:
-                resp = requests.get(
-                    f"{API_BASE}/works", params=query, timeout=self.timeout
-                )
-                if resp.status_code in (429, 500, 502, 503, 504):
-                    raise IOError(f"transient HTTP {resp.status_code}")
-                resp.raise_for_status()
-                return self._parse_live(endpoint, resp.json())
-            except (IOError, OSError) as err:
-                last_err = err
-                time.sleep(2.0 ** attempt)
-        raise IOError(f"request failed after {self.max_attempts} attempts: {last_err}")
+                status, headers, body = _http_get(url, self.timeout)
+            except OSError as err:
+                failure = f"{type(err).__name__}: {err}"
+            else:
+                if 200 <= status < 300:
+                    try:
+                        return self._parse_live(endpoint, json.loads(body))
+                    except (AttributeError, KeyError, TypeError, ValueError) as err:
+                        raise IOError(f"unreadable response from {url}: "
+                                      f"{type(err).__name__}: {err}") from err
+                if status not in _TRANSIENT_STATUSES:
+                    raise IOError(f"HTTP {status} from {url}")
+                failure = f"transient HTTP {status}"
+                asked = _retry_after(headers.get("retry-after"))
+                if asked is not None:
+                    if asked > _MAX_RETRY_AFTER_S:
+                        raise IOError(f"HTTP {status} from {url}: server asks to "
+                                      f"retry after {asked:.0f} s")
+                    delay = asked
+            if attempt + 1 < self.max_attempts:
+                time.sleep(delay)
+        raise IOError(f"request failed after {self.max_attempts} attempts: {failure}")
 
     @staticmethod
     def _live_query(endpoint: str, params: dict) -> dict:

@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import stat
 
 import pytest
 
+from refscale import openalex
 from refscale.openalex import (
     ExternalWork,
     FixtureCache,
@@ -209,6 +211,101 @@ class TestLiveQueryShapes:
     def test_parse_live_count(self):
         body = OpenAlexClient._parse_live("works_count", {"meta": {"count": 9}})
         assert body == {"count": 9}
+
+
+class TestLiveFetch:
+    """The live path against a scripted ``_http_get``; nothing leaves the
+    process."""
+
+    WORK = {"id": "https://openalex.org/W1", "title": "A study",
+            "publication_year": 2001, "cited_by_count": 5}
+
+    @pytest.fixture
+    def live(self, tmp_path, monkeypatch):
+        calls, sleeps, replies = [], [], []
+
+        def http_get(url, timeout):
+            calls.append(url)
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(openalex, "_http_get", http_get)
+        monkeypatch.setattr(openalex.time, "sleep", sleeps.append)
+        client = OpenAlexClient(fixtures=tmp_path, offline=False, rate_limit=0,
+                                mailto="ops@example.org")
+        return client, replies, calls, sleeps
+
+    def ok(self):
+        return 200, {}, json.dumps({"results": [self.WORK]}).encode()
+
+    def test_success_is_parsed_and_recorded(self, live, tmp_path):
+        client, replies, calls, sleeps = live
+        replies.append(self.ok())
+        works = client.search_candidates("A study")
+        assert [w.title for w in works] == ["A study"]
+        assert calls == ["https://api.openalex.org/works?search=A+study"
+                         "&per-page=25&mailto=ops%40example.org"]
+        assert sleeps == []
+        offline = OpenAlexClient(fixtures=tmp_path, offline=True)
+        assert offline.search_candidates("A study") == works
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_client_error_is_not_retried(self, live, status):
+        client, replies, calls, sleeps = live
+        replies.append((status, {}, b"{}"))
+        with pytest.raises(IOError, match=f"HTTP {status} from "):
+            client.search_candidates("A study")
+        assert len(calls) == 1 and sleeps == []
+
+    def test_transient_failures_back_off_then_succeed(self, live):
+        client, replies, calls, sleeps = live
+        replies += [(503, {}, b""), ConnectionResetError("reset"), self.ok()]
+        assert len(client.search_candidates("A study")) == 1
+        assert len(calls) == 3 and sleeps == [1.0, 2.0]
+
+    def test_no_sleep_after_the_last_attempt(self, live):
+        client, replies, calls, sleeps = live
+        replies += [(502, {}, b"")] * 3
+        with pytest.raises(IOError, match="after 3 attempts: transient HTTP 502"):
+            client.search_candidates("A study")
+        assert len(calls) == 3 and sleeps == [1.0, 2.0]
+
+    def test_retry_after_seconds_and_date(self, live):
+        client, replies, calls, sleeps = live
+        replies += [(429, {"retry-after": "7"}, b""),
+                    (429, {"retry-after": "Thu, 01 Jan 1970 00:00:00 GMT"}, b""),
+                    self.ok()]
+        client.search_candidates("A study")
+        assert sleeps == [7.0, 0.0]
+
+    def test_long_retry_after_fails_at_once(self, live):
+        client, replies, calls, sleeps = live
+        replies.append((429, {"retry-after": "86400"}, b""))
+        with pytest.raises(IOError, match="retry after 86400 s"):
+            client.search_candidates("A study")
+        assert len(calls) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("body", [b"<html>", b"[]", b'{"meta": {}}'])
+    def test_unreadable_success_body(self, live, body):
+        client, replies, calls, sleeps = live
+        replies.append((200, {}, body))
+        with pytest.raises(IOError, match="unreadable response"):
+            client.topic_works_count("mini grid")
+        assert len(calls) == 1
+
+    def test_http_error_status_is_returned(self, monkeypatch):
+        import urllib.error
+        import urllib.request
+
+        def urlopen(url, timeout):
+            raise urllib.error.HTTPError(url, 429, "Too Many Requests",
+                                         {"Retry-After": "3"}, io.BytesIO(b"slow"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert openalex._http_get("https://x.invalid/", 1.0) == (
+            429, {"retry-after": "3"}, b"slow")
 
 
 class TestMatchWork:

@@ -434,9 +434,9 @@ def bootstrap_median_ci(values) -> BootstrapCI:
         point=float(np.median(values)), lower=float(lower), upper=float(upper))
 
 
-# For even n, the pair table leaves out values that X_(h) falls at or below,
-# or X_(h+1) at or above, with a probability under this. The two tails it
-# drops hold at most 2e-18, and the table stays small on continuous data.
+# A binomial tail under this is taken as 0, which bounds the work on samples
+# of many distinct values. For even n, the pair table so leaves out values
+# that X_(h) falls at or below, or X_(h+1) at or above: at most 2e-18 of mass.
 _NEGLIGIBLE_MASS = 1e-18
 
 
@@ -484,57 +484,35 @@ def _resample_median_law(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return support, np.bincount(where, weights=mass)
 
 
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
-_CF_MAX_ITER = 100_000
-
-
 def _binom_tail(n: int, k: int, counts: np.ndarray) -> np.ndarray:
     """P(Binomial(n, c / n) >= k) for each integer count c in [0, n], for k
     near n / 2.
 
-    This is the regularized incomplete beta I_x(k, n - k + 1) at x = c / n,
-    from its continued fraction (Numerical Recipes, 3rd ed., section 6.4).
-    The fraction converges fast below x = (a + 1) / (a + b + 2); above it
-    the tail is one minus the same fraction with a, b and x, 1 - x swapped.
-    The prefactor x^a (1 - x)^b / B(a, b) = k C(n, k) x^k (1 - x)^(n-k+1) is
-    taken in log space, centred at x = 1/2, with C(n, k) / 2^n formed from
-    exact integers: C(n, n/2) overflows float64 from n of about 1,030.
+    The smaller tail is summed term by term: j >= k when the mean c is at
+    most k, else j < k, whose sum is taken from 1. Terms more than
+    5 sqrt(n) + 10 from k lie that far from the mean, so together they are
+    below exp(-50) (Hoeffding), and are left out. So are counts whose term
+    at k is under _NEGLIGIBLE_MASS / n, which bounds their whole tail: it
+    is 0 or 1. The terms' logs are centred at x = 1/2, with C(n, k) / 2^n
+    formed from exact integers (C(n, n/2) overflows float64 from n of about
+    1,030) and C(n, j) stepped from it.
     """
-    a, b = float(k), float(n - k + 1)
-    x = counts / n
-    y = (n - counts) / n
-    flip = x * (a + b + 2.0) > a + 1.0
-    with np.errstate(divide="ignore"):
-        log_front = (math.log(k * math.comb(n, k) / 2 ** (n + 1))
-                     + a * np.log(2.0 * x) + b * np.log(2.0 * y))
-    p, q = np.where(flip, b, a), np.where(flip, a, b)
-    frac = np.exp(log_front) * _beta_fraction(p, q, np.where(flip, y, x)) / p
-    return np.where(flip, 1.0 - frac, frac)
-
-
-def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The incomplete beta's continued fraction by the modified Lentz method."""
-
-    def nonzero(v):
-        return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
-
-    c = np.ones_like(x)
-    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
-    out = d
-    done = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _CF_MAX_ITER + 1):
-        step = np.ones_like(x)
-        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 / nonzero(1.0 + coef * d)
-            c = nonzero(1.0 + coef / c)
-            step = step * d * c
-        out = np.where(done, out, out * step)
-        done |= np.abs(d * c - 1.0) < _CF_EPS
-        if done.all():
-            return out
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    tail = (counts >= k).astype(float)
+    span = int(5 * math.sqrt(n)) + 10
+    j = np.arange(max(0, k - span), min(n, k + span) + 1)
+    log_comb = np.concatenate([[0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1.0)))])
+    log_comb += math.log(math.comb(n, k) / 2**n) - log_comb[k - j[0]]
+    inner = np.flatnonzero((counts > 0) & (counts < n))
+    log_x = np.log(2.0 * counts[inner] / n)
+    log_y = np.log(2.0 * (n - counts[inner]) / n)
+    at_k = log_comb[k - j[0]] + k * log_x + (n - k) * log_y
+    near = at_k > math.log(_NEGLIGIBLE_MASS / n)
+    inner, log_x, log_y = inner[near], log_x[near, None], log_y[near, None]
+    terms = np.exp(log_comb + j * log_x + (n - j) * log_y)
+    upper = (counts[inner] <= k)[:, None]
+    small = np.where(upper == (j >= k), terms, 0.0).sum(axis=1)
+    tail[inner] = np.where(upper[:, 0], small, 1.0 - small)
+    return tail
 
 
 def weighted_loglog_fit(points, se) -> OlsFit:

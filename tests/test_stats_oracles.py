@@ -99,8 +99,8 @@ class TestExactMedianCI:
         medians = bootstrap_statistic(values, resamples, 1,
                                       lambda rows: np.median(rows, axis=1))
         for q, bound in ((0.025, ci.lower), (0.975, ci.upper)):
-            sigma = 4 * np.sqrt(q * (1 - q) / resamples)
-            low, high = np.percentile(medians, [100 * (q - sigma), 100 * (q + sigma)])
+            band = 4 * np.sqrt(q * (1 - q) / resamples)  # 4 sigma of a share
+            low, high = np.percentile(medians, [100 * (q - band), 100 * (q + band)])
             assert low <= bound <= high, (q, bound, low, high)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7, 50, 51, 240, 241, 5000, 5001])

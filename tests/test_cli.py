@@ -329,12 +329,13 @@ class TestStartup:
     def test_demo_citetail_and_report_import_no_scipy(self, tmp_path):
         # Demo's Spearman calls all take the exact n <= 9 path, and the
         # median CIs need no special functions: no scipy module is loaded.
+        args = _args(tmp_path / "out")
         code = (
             "import sys\n"
             "import refscale.cli\n"
-            f"assert refscale.cli.main({['verify', *_args(tmp_path / 'out')]!r}) == 0\n"
-            f"assert refscale.cli.main({['citetail', *_args(tmp_path / 'out'), '--min-n', '10']!r}) == 0\n"
-            f"assert refscale.cli.main({['report', *_args(tmp_path / 'out'), '--min-n', '10']!r}) == 0\n"
+            f"assert refscale.cli.main({['verify', *args]!r}) == 0\n"
+            f"assert refscale.cli.main({['citetail', *args, '--min-n', '10']!r}) == 0\n"
+            f"assert refscale.cli.main({['report', *args, '--min-n', '10']!r}) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
         )

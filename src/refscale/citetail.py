@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .stats import BootstrapCI, OlsFit, bootstrap_median_ci, spearman, weighted_loglog_fit
+from . import stats  # traced functions are called through the module
+from .stats import BootstrapCI, OlsFit, weighted_loglog_fit
 from .verification import Status, VerificationResult
 
 __all__ = ["CitationSample", "GradientReport", "build_citation_samples", "citation_gradient"]
@@ -95,7 +96,7 @@ def citation_gradient(
     p_vals: List[float] = []
     med_vals: List[float] = []
     for sample in sorted(qualifying, key=lambda s: s.model):
-        ci = bootstrap_median_ci(sample.counts)
+        ci = stats.bootstrap_median_ci(sample.counts)
         medians[sample.model] = ci
         p = float(params_billions[sample.model])
         se_log = _log10_se(ci)
@@ -105,7 +106,7 @@ def citation_gradient(
         med_vals.append(ci.point)
 
     fit = weighted_loglog_fit(points, ses)
-    rho, pval = spearman(p_vals, med_vals)
+    rho, pval = stats.spearman(p_vals, med_vals)
     return GradientReport(
         medians=medians,
         fit=fit,

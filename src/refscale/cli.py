@@ -20,35 +20,21 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import citetail as citetail_mod
-from . import theory as theory_mod
+# numpy and the numeric modules (stats, theory, citetail, zipflaw) are
+# imported by the commands that use them, so ingest, verify and score load
+# neither numpy nor scipy. Their functions are called through the module, where
+# perfbench's tracer patches them, and never bound into this module's globals.
 from .atomic import atomic_write
 from .citations import load_stopwords
 from .dataset import Dataset, IngestError, cells_to_csv, ingest_dataset, model_quality
 from .openalex import FixtureMiss, OpenAlexClient
 from .pipeline import FixtureMissBatch, parse_corpus, score_corpus, verify_corpus
-from .stats import (
-    CellRefs,
-    SigmoidFit,
-    fit_ols,
-    fit_sigmoid,
-    incremental_f,
-    partial_weight_sweep,
-    sigmoid,
-    spearman,
-)
 from .verification import VerificationResult
-from .zipflaw import (
-    bootstrap_alpha_ci,
-    fit_zipf_mle,
-    fit_zipf_ols,
-    rank_frequencies,
-    rolling_window_alpha,
-)
+
+if TYPE_CHECKING:
+    from .stats import SigmoidFit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,17 +262,21 @@ def _load_cells(config: RunConfig):
 
 
 def cmd_fit(ctx: RunContext) -> int:
+    import numpy as np
+
+    from . import stats, theory
+
     config, rows = ctx.config, ctx.cells
     fitted = [r for r in rows if r["log10_params"]]
     triples = [
         (float(r["log10_params"]), float(r["log10_works"]), float(r["quality"]))
         for r in fitted
     ]
-    sig = fit_sigmoid(triples)
+    sig = stats.fit_sigmoid(triples)
     arr = np.asarray(triples)
-    two = fit_ols(arr[:, :2], arr[:, 2])
-    one = fit_ols(arr[:, 0], arr[:, 2])
-    f_stat, dof = incremental_f(two, one)
+    two = stats.fit_ols(arr[:, :2], arr[:, 2])
+    one = stats.fit_ols(arr[:, 0], arr[:, 2])
+    f_stat, dof = stats.incremental_f(two, one)
 
     # Model-level log-linear fit (one point per model)
     by_model: Dict[str, List[Tuple[float, float]]] = {}
@@ -298,7 +288,7 @@ def cmd_fit(ctx: RunContext) -> int:
            for v in (by_model[m] for m in sorted(by_model))]
     model_fit = None
     if len(pts) >= 3:
-        model_fit = fit_ols([p for p, _ in pts], [q for _, q in pts])
+        model_fit = stats.fit_ols([p for p, _ in pts], [q for _, q in pts])
 
     report = {
         "sigmoid": asdict(sig),
@@ -322,7 +312,7 @@ def cmd_fit(ctx: RunContext) -> int:
         q_vals = [float(r["quality"]) for r in sub]
         if np.ptp(s_vals) == 0 or np.ptp(q_vals) == 0:
             continue
-        rho, p = spearman(s_vals, q_vals)
+        rho, p = stats.spearman(s_vals, q_vals)
         per_model.append((model, _fmt(rho, 6), _fmt(p, 6)))
     write_csv(out / "per_model_spearman.csv",
               ["model", "rho_quality_vs_log10_works", "p_two_sided"],
@@ -334,14 +324,14 @@ def cmd_fit(ctx: RunContext) -> int:
         z = (sig.alpha * float(r["log10_params"])
              + sig.beta * float(r["log10_works"]) + sig.gamma)
         regimes.append((r["model"], r["topic"], _fmt(z, 6),
-                        theory_mod.classify_regime(z)))
+                        theory.classify_regime(z)))
     write_csv(out / "regimes.csv", ["model", "topic", "z", "regime"],
               regimes, config)
 
     # Fitted-curve samples for external plotting.
     zs = np.linspace(-8, 8, 161)
     write_csv(out / "sigmoid_curve.csv", ["z", "quality"],
-              [(_fmt(z, 6), _fmt(float(sigmoid(z)), 8)) for z in zs], config)
+              [(_fmt(z, 6), _fmt(float(stats.sigmoid(z)), 8)) for z in zs], config)
 
     # Relevance-weight robustness sweep (needs per-reference scores).
     sweep_rows = _sweep(ctx)
@@ -359,10 +349,12 @@ def cmd_fit(ctx: RunContext) -> int:
 
 
 def _sweep(ctx: RunContext):
+    from . import stats
+
     config, dataset, results = ctx.config, ctx.dataset, ctx.results
     if not dataset.relevance_labels:
         return None
-    by_cell: Dict[Tuple[str, str], CellRefs] = {}
+    by_cell: Dict[Tuple[str, str], stats.CellRefs] = {}
     for key, res in results.items():
         model, topic, _ = key
         label = dataset.relevance_labels.get(key)
@@ -375,14 +367,14 @@ def _sweep(ctx: RunContext):
             continue
         cell = by_cell.setdefault(
             (model, topic),
-            CellRefs(model=model, log10_p=math.log10(params),
-                     log10_s=math.log10(works), refs=[]),
+            stats.CellRefs(model=model, log10_p=math.log10(params),
+                           log10_s=math.log10(works), refs=[]),
         )
         cell.refs.append((res.authenticity, label))
     cells = [by_cell[k] for k in sorted(by_cell)]
     if len(cells) < 4:
         return None
-    return partial_weight_sweep(cells, baseline=config.partial_weight)
+    return stats.partial_weight_sweep(cells, baseline=config.partial_weight)
 
 
 def _ols_dict(fit) -> dict:
@@ -394,6 +386,8 @@ def _ols_dict(fit) -> dict:
 
 
 def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
+    from . import zipflaw
+
     counts = []
     n_rows = 0
     with open(counts_path, newline="") as handle:
@@ -417,12 +411,12 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
             counts.append(count)
     if not counts:
         raise IngestError(f"{counts_path}: no (concept, count) rows found")
-    rf = rank_frequencies(counts)
-    alpha_ols, se, r2 = fit_zipf_ols(rf)
+    rf = zipflaw.rank_frequencies(counts)
+    alpha_ols, se, r2 = zipflaw.fit_zipf_ols(rf)
     x_min = float(min(rf.frequencies))
-    alpha_mle = fit_zipf_mle(rf.frequencies, x_min)
-    ci = bootstrap_alpha_ci(rf.frequencies, x_min, resamples=ZIPF_RESAMPLES,
-                            seed=config.seed)
+    alpha_mle = zipflaw.fit_zipf_mle(rf.frequencies, x_min)
+    ci = zipflaw.bootstrap_alpha_ci(rf.frequencies, x_min, resamples=ZIPF_RESAMPLES,
+                                    seed=config.seed)
     out = Path(config.output_dir)
     write_json(out / "zipf_report.json", {
         "alpha_ols": alpha_ols, "alpha_ols_se": se, "ols_r2": r2,
@@ -431,7 +425,7 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
         "n": len(rf),
     }, config)
     if 3 <= window <= len(rf):
-        profile = rolling_window_alpha(rf, window)
+        profile = zipflaw.rolling_window_alpha(rf, window)
         write_csv(out / "zipf_rolling.csv", ["center_rank", "alpha_local"],
                   [(_fmt(c, 8), _fmt(a, 8)) for c, a in profile], config)
     print(f"zipf: OLS alpha={alpha_ols:.3f} (r2={r2:.3f}), MLE alpha={alpha_mle:.3f}")
@@ -439,38 +433,42 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
 
 
 def cmd_theory(ctx: RunContext) -> int:
+    import numpy as np
+
+    from . import theory
+
     config, fit = ctx.config, ctx.fit
     out = Path(config.output_dir)
-    lin = theory_mod.linearize(fit)
+    lin = theory.linearize(fit)
     slope_table = []
     for alpha_z in (1.00, 1.23, 1.24):
-        m_max = theory_mod.reference_slope(alpha_z)
+        m_max = theory.reference_slope(alpha_z)
         slope_table.append({
             "alpha_z": alpha_z,
             "m_max": round(m_max, 3),
             "efficiency_at_m": round(
-                theory_mod.efficiency(lin.m, round(m_max, 3)), 4),
+                theory.efficiency(lin.m, round(m_max, 3)), 4),
         })
     report = {
         "fit": asdict(fit),
         "linearized": {"m": lin.m, "n": lin.n, "c": lin.c,
                        "m_ceiling": lin.m_ceiling, "n_ceiling": lin.n_ceiling},
         "reference_slopes": slope_table,
-        "required_params_q90_s32_billions": theory_mod.required_params(0.90, 32, fit),
-        "recall_threshold_log10_s_at_405b": theory_mod.required_content(405, fit),
+        "required_params_q90_s32_billions": theory.required_params(0.90, 32, fit),
+        "recall_threshold_log10_s_at_405b": theory.required_content(405, fit),
     }
     write_json(out / "theory_report.json", report, config)
 
     # Simulator sweep for plotting: recall fraction and linked quality.
-    exps = theory_mod.TheoryExponents(alpha_z=1.23).calibrated(100_000)
-    link = theory_mod.QualityLink(a=1.0, b=0.0)
+    exps = theory.TheoryExponents(alpha_z=1.23).calibrated(100_000)
+    link = theory.QualityLink(a=1.0, b=0.0)
     rows = []
     for log_p in np.linspace(0, 4, 17):
         for log_s in (2.0, 4.0, 6.0):
-            cfg_sim = theory_mod.SimConfig(
+            cfg_sim = theory.SimConfig(
                 m=100_000, p=10 ** log_p, s=10 ** log_s, exponents=exps)
-            _, q_frac = theory_mod.simulate_recall(cfg_sim)
-            quality = (theory_mod.quality_from_Q(q_frac, link)
+            _, q_frac = theory.simulate_recall(cfg_sim)
+            quality = (theory.quality_from_Q(q_frac, link)
                        if q_frac > 0 else 0.0)
             rows.append((_fmt(log_p, 6), _fmt(log_s, 6),
                          _fmt(q_frac, 8), _fmt(quality, 8)))
@@ -481,6 +479,8 @@ def cmd_theory(ctx: RunContext) -> int:
 
 
 def _load_fit(config: RunConfig) -> SigmoidFit:
+    from .stats import SigmoidFit
+
     path = Path(config.output_dir) / "fit_report.json"
     if not path.exists():
         raise UpstreamMissing(path)
@@ -488,12 +488,13 @@ def _load_fit(config: RunConfig) -> SigmoidFit:
 
 
 def cmd_citetail(ctx: RunContext, min_n: int) -> int:
+    from . import citetail
+
     config = ctx.config
-    samples = citetail_mod.build_citation_samples(ctx.results)
+    samples = citetail.build_citation_samples(ctx.results)
     params = {name: spec.fit_params(config.moe_convention)
               for name, spec in ctx.dataset.models.items()}
-    report = citetail_mod.citation_gradient(
-        samples, params, min_n=min_n)
+    report = citetail.citation_gradient(samples, params, min_n=min_n)
     out = Path(config.output_dir)
     rows = []
     for model in report.included_models:
@@ -532,6 +533,9 @@ def cmd_report(ctx: RunContext, min_n: int) -> int:
     try:
         cmd_citetail(ctx, min_n=min_n)
     except ValueError as err:
+        # min_n is not a config field: an earlier run's table would carry
+        # this run's stamp.
+        (out / "citation_gradient.csv").unlink(missing_ok=True)
         write_json(out / "citetail_report.json",
                    {"skipped": str(err)}, config)
 
@@ -614,23 +618,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config(args)
         ctx = RunContext(config)
-        if args.command == "ingest":
-            return cmd_ingest(ctx)
-        if args.command == "verify":
-            return cmd_verify(ctx)
-        if args.command == "score":
-            return cmd_score(ctx)
-        if args.command == "fit":
-            return cmd_fit(ctx)
-        if args.command == "zipf":
-            return cmd_zipf(config, args.counts, args.window)
-        if args.command == "theory":
-            return cmd_theory(ctx)
-        if args.command == "citetail":
-            return cmd_citetail(ctx, args.min_n)
-        if args.command == "report":
-            return cmd_report(ctx, args.min_n)
-        raise UsageError(f"unknown command {args.command!r}")
+        run = {
+            "ingest": lambda: cmd_ingest(ctx),
+            "verify": lambda: cmd_verify(ctx),
+            "score": lambda: cmd_score(ctx),
+            "fit": lambda: cmd_fit(ctx),
+            "zipf": lambda: cmd_zipf(config, args.counts, args.window),
+            "theory": lambda: cmd_theory(ctx),
+            "citetail": lambda: cmd_citetail(ctx, args.min_n),
+            "report": lambda: cmd_report(ctx, args.min_n),
+        }[args.command]
+        return run()
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

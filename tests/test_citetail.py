@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import numpy as np
@@ -50,6 +51,19 @@ class TestCommand:
         assert main(["citetail", *args, "--min-n", "10"]) == 0
         got = (tmp_path / "out" / "citation_gradient.csv").read_bytes()
         assert got == with_fixtures
+
+    def test_skipped_report_removes_stale_gradient(self, tmp_path):
+        # min_n is not a config field, so a table left by an earlier run
+        # would carry the same stamp as the skipped run's report.
+        args = ["--dataset", str(DEMO_DATASET), "--fixtures", str(DEMO_FIXTURES),
+                "--output-dir", str(tmp_path / "out")]
+        assert main(["verify", *args]) == 0
+        assert main(["report", *args, "--min-n", "10"]) == 0
+        assert (tmp_path / "out" / "citation_gradient.csv").exists()
+        assert main(["report", *args, "--min-n", "1000"]) == 0
+        report = json.loads((tmp_path / "out" / "citetail_report.json").read_text())
+        assert "skipped" in report
+        assert not (tmp_path / "out" / "citation_gradient.csv").exists()
 
 
 def _synthetic_samples(slope=-0.35, scale=2000.0, n=240, sigma=0.6, base=100):

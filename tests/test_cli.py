@@ -95,6 +95,9 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert main(["verify", *_args(tmp_path), "--nonsense"]) == 1
 
+    def test_unknown_command(self, tmp_path):
+        assert main(["nonsense", *_args(tmp_path)]) == 1
+
     def test_fixture_miss_exit_code(self, tmp_path):
         empty = tmp_path / "no_fixtures"
         empty.mkdir()
@@ -326,6 +329,24 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_ingest_verify_score_import_no_numpy(self, tmp_path):
+        # Parsing, verification and scoring are text and JSON work; numpy
+        # is loaded only by the numeric commands.
+        args = _args(tmp_path / "out")
+        code = (
+            "import sys\n"
+            "def numeric(): return sorted(m for m in sys.modules\n"
+            "                             if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "import refscale.cli\n"
+            "assert not numeric(), ('import refscale.cli', numeric())\n"
+            f"for command in {['ingest', 'verify', 'score']!r}:\n"
+            f"    assert refscale.cli.main([command, *{args!r}]) == 0\n"
+            "    assert not numeric(), (command, numeric())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_demo_citetail_and_report_import_no_scipy(self, tmp_path):
         # Demo's Spearman calls all take the exact n <= 9 path, and the
         # median CIs need no special functions: no scipy module is loaded.
@@ -345,7 +366,8 @@ class TestStartup:
 
     def test_report_imports_no_scipy_stats(self, tmp_path):
         # ttail's per-model and citetail Spearman calls take the t-tail,
-        # which needs scipy.special only; live mode alone needs requests.
+        # which needs scipy.special only; an offline run never loads the
+        # live client's network stack.
         set_up("ttail", tmp_path)
         code = (
             "import sys\n"
@@ -354,7 +376,7 @@ class TestStartup:
             f"assert refscale.cli.main({['report', *PATHS, '--min-n', '10']!r}) == 0\n"
             "assert 'scipy.special' in sys.modules, 'no t-tail was reached'\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n"
-            "assert 'requests' not in sys.modules, 'requests'\n"
+            "assert 'urllib.request' not in sys.modules, 'urllib.request'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               cwd=tmp_path, capture_output=True, text=True)

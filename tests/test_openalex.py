@@ -308,6 +308,45 @@ class TestLiveFetch:
             429, {"retry-after": "3"}, b"slow")
 
 
+class TestRateLimiter:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        # A fake clock that a sleep advances; returns the clock and the sleeps.
+        now, sleeps = [100.0], []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            now[0] += seconds
+
+        monkeypatch.setattr(openalex.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(openalex.time, "sleep", sleep)
+        return now, sleeps
+
+    def test_second_call_waits_out_the_interval(self, clock):
+        now, sleeps = clock
+        limiter = openalex._RateLimiter(per_second=5)
+        limiter.wait()
+        assert sleeps == []
+        now[0] += 0.05
+        limiter.wait()
+        assert sleeps == [pytest.approx(0.15)]
+
+    def test_call_after_the_interval_does_not_sleep(self, clock):
+        now, sleeps = clock
+        limiter = openalex._RateLimiter(per_second=5)
+        limiter.wait()
+        now[0] += 0.25
+        limiter.wait()
+        assert sleeps == []
+
+    def test_zero_rate_never_sleeps(self, clock):
+        _, sleeps = clock
+        limiter = openalex._RateLimiter(per_second=0)
+        for _ in range(3):
+            limiter.wait()
+        assert sleeps == []
+
+
 class TestMatchWork:
     def test_top_candidate_accepted(self, stopwords):
         top = ExternalWork(id="W1", title="solar adoption in kenya", authors=[])

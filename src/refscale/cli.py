@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 # numpy and the numeric modules (stats, theory, citetail, zipflaw) are
-# imported by the commands that use them, so ingest, verify and score load
-# neither numpy nor scipy. Their functions are called through the module, where
+# imported by the commands that use them, so ingest, verify and score do not
+# load numpy. Their functions are called through the module, where
 # perfbench's tracer patches them, and never bound into this module's globals.
 from .atomic import atomic_write
 from .citations import load_stopwords
@@ -354,24 +354,26 @@ def _sweep(ctx: RunContext):
     config, dataset, results = ctx.config, ctx.dataset, ctx.results
     if not dataset.relevance_labels:
         return None
-    by_cell: Dict[Tuple[str, str], stats.CellRefs] = {}
+    # One entry per (model, topic), made on its first reference; None for a
+    # cell off the fit (no parameter count, or no works count).
+    by_cell: Dict[Tuple[str, str], Optional[stats.CellRefs]] = {}
     for key, res in results.items():
-        model, topic, _ = key
         label = dataset.relevance_labels.get(key)
         if label is None:
             return None
-        spec = dataset.models[model]
-        params = spec.fit_params(config.moe_convention)
-        works = dataset.topics[topic].works_count
-        if params is None or works <= 0:
-            continue
-        cell = by_cell.setdefault(
-            (model, topic),
-            stats.CellRefs(model=model, log10_p=math.log10(params),
-                           log10_s=math.log10(works), refs=[]),
-        )
-        cell.refs.append((res.authenticity, label))
-    cells = [by_cell[k] for k in sorted(by_cell)]
+        cell_key = key[:2]
+        if cell_key not in by_cell:
+            model, topic = cell_key
+            params = dataset.models[model].fit_params(config.moe_convention)
+            works = dataset.topics[topic].works_count
+            by_cell[cell_key] = (
+                stats.CellRefs(model=model, log10_p=math.log10(params),
+                               log10_s=math.log10(works), refs=[])
+                if params is not None and works > 0 else None)
+        cell = by_cell[cell_key]
+        if cell is not None:
+            cell.refs.append((res.authenticity, label))
+    cells = [by_cell[k] for k in sorted(by_cell) if by_cell[k] is not None]
     if len(cells) < 4:
         return None
     return stats.partial_weight_sweep(cells, baseline=config.partial_weight)

@@ -301,18 +301,70 @@ def spearman(x, y) -> Tuple[float, float]:
     n = len(rx)
     if n <= _EXACT_PERM_MAX_N:
         p = _exact_perm_p(rx, ry, rho)
+    elif abs(rho) >= 1.0:
+        p = 0.0
     else:
-        if abs(rho) >= 1.0:
-            p = 0.0
-        else:
-            # scipy is imported here only: no other path needs it. stdtr(df,
-            # -t) is the t.sf(t, df) of scipy's stats package, computed as
-            # that package computes it, without its import cost.
-            from scipy.special import stdtr
-
-            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-            p = float(2.0 * stdtr(n - 2, -abs(t)))
+        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+        p = _t_two_sided(n - 2, abs(t))
     return rho, p
+
+
+# Where 1 - head is at least this, the two-sided t tail is taken from the
+# finite head sum; below it, from the positive-term rest of the series.
+_T_HEAD_MIN_P = 0.1
+
+
+def _t_two_sided(df: int, t: float) -> float:
+    """P(|T| >= t) for Student's t with an integer df >= 1 and t >= 0.
+
+    With x = cos^2 theta = df / (df + t^2) and theta = atan(t / sqrt(df)),
+    Abramowitz & Stegun 26.7.3 and 26.7.4 give P(|T| < t) as a finite sum:
+
+        even df: sin theta * sum_{j < df/2} c_j x^j,  c_j = (2j-1)!! / (2j)!!
+        odd df:  2/pi * (theta + sin theta cos theta
+                         * sum_{j < (df-1)/2} d_j x^j),  d_j = (2j)!! / (2j+1)!!
+
+    Over all j >= 0 the two series sum to 1 / sin theta and to
+    (pi/2 - theta) / (sin theta cos theta), which make the whole probability
+    1. So p is the rest of the series, from the first term the finite sum
+    leaves out: a sum of positive terms, with no cancellation however small
+    p is. 1 - head is taken only where p is not small, since the rest
+    converges slowly as x nears 1. The rest is summed scaled by its first
+    term, so no summand is subnormal; where that first term underflows, so
+    does p.
+    """
+    if t == 0.0:
+        return 1.0
+    if t == math.inf:
+        return 0.0
+    root = math.sqrt(df)
+    if t > 1e150:  # t * t would overflow; df + t * t rounds to t * t
+        x, sin, cos = df / t / t, 1.0, root / t
+    else:
+        t2 = t * t
+        x = df / (df + t2)
+        sin, cos = math.sqrt(t2 / (df + t2)), math.sqrt(x)
+    odd = df % 2
+    if odd:
+        head = 2.0 / math.pi * math.atan2(t, root)
+        term = 2.0 / math.pi * sin * cos
+    else:
+        head, term = 0.0, sin
+    first = (df - 1) // 2 if odd else df // 2
+    for j in range(first):
+        head += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if 1.0 - head >= _T_HEAD_MIN_P:
+        return 1.0 - head
+    # Each ratio is below x, so what follows a summand u is below
+    # u x / (1 - x), with 1 - x = sin^2 theta.
+    total = u = 1.0
+    j = first
+    while u * x > total * 2.0**-54 * sin * sin:
+        u *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        total += u
+        j += 1
+    return term * total
 
 
 @lru_cache(maxsize=None)
@@ -575,29 +627,49 @@ def partial_weight_sweep(
     Each row holds the sigmoid fit r2, the two-predictor log-linear r2, and
     the Spearman rho of the model-level quality ranking against the baseline
     ranking.
+
+    Cells are grouped by reference count into one authenticity block and one
+    label-code block per count, built once. A cell's quality at a weight is
+    then its row of one np.mean(axis=1) per block, which equals np.mean over
+    that cell's own references bitwise, and feeds both the fits and the model
+    means.
     """
+    codes = {RelevanceLabel.YES: 0, RelevanceLabel.PARTIAL: 1, RelevanceLabel.NO: 2}
+    by_size: Dict[int, List[int]] = {}
+    members: Dict[str, List[int]] = {}
+    for i, cell in enumerate(cell_refs):
+        if not cell.refs:
+            raise ValueError(f"cell for model {cell.model!r} has no references")
+        by_size.setdefault(len(cell.refs), []).append(i)
+        members.setdefault(cell.model, []).append(i)
+    blocks = [
+        (np.array(rows),
+         np.array([[a for a, _ in cell_refs[i].refs] for i in rows]),
+         np.array([[codes[lbl] for _, lbl in cell_refs[i].refs] for i in rows]))
+        for rows in by_size.values()
+    ]
+    model_order = sorted(members)
+    predictors = np.array([(c.log10_p, c.log10_s) for c in cell_refs], dtype=float)
 
-    def model_means(weight: float) -> Dict[str, float]:
-        sums: Dict[str, List[float]] = {}
-        for cell in cell_refs:
-            q = _cell_quality(cell, weight)
-            sums.setdefault(cell.model, []).append(q)
-        return {m: float(np.mean(v)) for m, v in sorted(sums.items())}
+    def qualities(weight: float) -> np.ndarray:
+        # YES, PARTIAL and NO by label code; the PARTIAL lookup checks the weight.
+        values = np.array([1.0, relevance_value(RelevanceLabel.PARTIAL, weight), 0.0])
+        q = np.empty(len(cell_refs))
+        for rows, auth, code in blocks:
+            q[rows] = np.mean(auth * values[code], axis=1)
+        return q
 
-    base_means = model_means(baseline)
-    model_order = list(base_means)
-    base_vec = [base_means[m] for m in model_order]
+    def model_means(q: np.ndarray) -> List[float]:
+        return [float(np.mean(q[members[m]])) for m in model_order]
+
+    base_vec = model_means(qualities(baseline))
 
     rows: List[dict] = []
     for weight in weights:
-        triples = [
-            (c.log10_p, c.log10_s, _cell_quality(c, weight)) for c in cell_refs
-        ]
-        sig = fit_sigmoid(triples)
-        arr = np.asarray(triples)
-        lin = fit_ols(arr[:, :2], arr[:, 2])
-        means = model_means(weight)
-        vec = [means[m] for m in model_order]
+        q = qualities(weight)
+        sig = fit_sigmoid(np.column_stack([predictors, q]))
+        lin = fit_ols(predictors, q)
+        vec = model_means(q)
         if np.ptp(vec) == 0 or np.ptp(base_vec) == 0:
             rho = 1.0 if vec == base_vec else float("nan")
         else:
@@ -611,11 +683,3 @@ def partial_weight_sweep(
             }
         )
     return rows
-
-
-def _cell_quality(cell: CellRefs, weight: float) -> float:
-    if not cell.refs:
-        raise ValueError(f"cell for model {cell.model!r} has no references")
-    return float(
-        np.mean([a * relevance_value(lbl, weight) for a, lbl in cell.refs])
-    )

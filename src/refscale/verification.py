@@ -76,6 +76,12 @@ class RelevanceLabel(Enum):
     NO = "NO"
 
 
+# Members by value, for loading: a dict lookup where Enum(value) is a call.
+_VERDICTS = {v.value: v for v in FieldVerdict}
+_STATUSES = {s.value: s for s in Status}
+_FIELD_KIND_SET = frozenset(FIELD_KINDS)
+
+
 @dataclass
 class VerificationResult:
     """Per-field verdicts plus the derived score and status for one reference.
@@ -101,13 +107,28 @@ class VerificationResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationResult":
-        return cls(
-            verdicts={k: FieldVerdict(v) for k, v in d["verdicts"].items()},
-            authenticity=d["authenticity"],
-            status=Status(d["status"]),
-            matched_candidate=d["matched_candidate"],
-            cited_by_count=d["cited_by_count"],
-        )
+        """The inverse of ``to_dict``. A missing key raises KeyError; a field
+        of the wrong type or outside its values raises ValueError naming it."""
+        raw = d["verdicts"]
+        if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
+            raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+        try:
+            verdicts = {k: _VERDICTS[v] for k, v in raw.items()}
+        except (KeyError, TypeError):
+            raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
+        status = d["status"]
+        if not isinstance(status, str) or status not in _STATUSES:
+            raise ValueError(f"status: unknown value {status!r}")
+        authenticity = d["authenticity"]
+        if isinstance(authenticity, bool) or not isinstance(authenticity, (int, float)):
+            raise ValueError(f"authenticity must be a number, got {authenticity!r}")
+        matched = d["matched_candidate"]
+        if matched is not None and not isinstance(matched, str):
+            raise ValueError(f"matched_candidate must be a string or null, got {matched!r}")
+        cited = d["cited_by_count"]
+        if cited is not None and (isinstance(cited, bool) or not isinstance(cited, int)):
+            raise ValueError(f"cited_by_count must be an integer or null, got {cited!r}")
+        return cls(verdicts, authenticity, _STATUSES[status], matched, cited)
 
 
 _DOI_PREFIX_RE = re.compile(

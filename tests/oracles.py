@@ -4,9 +4,15 @@ replaced.
 Each is the earlier code, kept verbatim where it can be, so that the faster
 versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.citations``
 and ``refscale.pipeline`` can be checked against it for exact equality.
-The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
-below, so it is checked against an enumeration of every resample for small
-n and against that Monte Carlo within its sampling error for larger n.
+Two are declared exceptions, held to a stated error instead:
+
+- The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
+  below, so it is checked against an enumeration of every resample for
+  small n and against that Monte Carlo within its sampling error for
+  larger n.
+- The Spearman t tail is computed in closed form, where it was scipy's
+  ``stdtr``. It is checked within a relative error against
+  ``t_tail_exact``, the incomplete beta function at 50 digits.
 """
 
 import json
@@ -16,11 +22,13 @@ import unicodedata
 from itertools import permutations, product
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy import stats as sps
 
 from refscale.openalex import ExternalWork, FixtureMiss, request_fingerprint
 from refscale.pipeline import FixtureMissBatch
+from refscale.stats import _rho_and_ranks, fit_ols, fit_sigmoid
 from refscale.verification import (
     FIELD_KINDS,
     FieldVerdict,
@@ -29,6 +37,7 @@ from refscale.verification import (
     authenticity_score,
     classify_field,
     classify_status,
+    relevance_value,
 )
 
 
@@ -58,9 +67,16 @@ def spearman(x, y):
     return rho, p
 
 
-def t_sf(t, df) -> float:
-    """Student t survival function, as ``spearman`` above computes it."""
-    return float(sps.t.sf(t, df))
+def t_tail_exact(t, df) -> float:
+    """Two-sided Student t tail P(|T| >= t) for the float t, with df degrees
+    of freedom: the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2), evaluated at 50 significant digits."""
+    if t == float("inf"):
+        return 0.0
+    with mpmath.workdps(50):
+        x = df / (df + mpmath.mpf(t) ** 2)
+        return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x,
+                                    regularized=True))
 
 
 def exact_perm_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
@@ -131,6 +147,54 @@ def bootstrap_alpha_ci(samples, x_min: float, resamples: int, seed: int):
     alphas = 1.0 + len(x) / np.maximum(sums, 1e-300)
     lower, upper = np.percentile(alphas, [2.5, 97.5])
     return float(lower), float(upper)
+
+
+# -- the relevance-weight sweep, one np.mean per cell and weight -------------
+
+def cell_quality(cell, weight: float) -> float:
+    if not cell.refs:
+        raise ValueError(f"cell for model {cell.model!r} has no references")
+    return float(
+        np.mean([a * relevance_value(lbl, weight) for a, lbl in cell.refs])
+    )
+
+
+def partial_weight_sweep(cell_refs, weights=(0.0, 0.25, 0.5, 0.75, 1.0),
+                         baseline=0.50):
+    def model_means(weight):
+        sums = {}
+        for cell in cell_refs:
+            q = cell_quality(cell, weight)
+            sums.setdefault(cell.model, []).append(q)
+        return {m: float(np.mean(v)) for m, v in sorted(sums.items())}
+
+    base_means = model_means(baseline)
+    model_order = list(base_means)
+    base_vec = [base_means[m] for m in model_order]
+
+    rows = []
+    for weight in weights:
+        triples = [
+            (c.log10_p, c.log10_s, cell_quality(c, weight)) for c in cell_refs
+        ]
+        sig = fit_sigmoid(triples)
+        arr = np.asarray(triples)
+        lin = fit_ols(arr[:, :2], arr[:, 2])
+        means = model_means(weight)
+        vec = [means[m] for m in model_order]
+        if np.ptp(vec) == 0 or np.ptp(base_vec) == 0:
+            rho = 1.0 if vec == base_vec else float("nan")
+        else:
+            rho = _rho_and_ranks(vec, base_vec)[0]
+        rows.append(
+            {
+                "partial_weight": weight,
+                "sigmoid_r2": sig.r2,
+                "loglinear_r2": lin.r2,
+                "rank_rho_vs_baseline": rho,
+            }
+        )
+    return rows
 
 
 # -- verify: the per-reference loop, before the per-title memos --------------

@@ -195,11 +195,27 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda rec: {k: v for k, v in rec.items() if k != "cited_by_count"},
-        lambda rec: json.dumps(rec)[:20],
-    ], ids=["no-cited-by-count", "malformed"])
-    def test_unreadable_verification_record(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: {k: v for k, v in rec.items() if k != "cited_by_count"},
+         "KeyError('cited_by_count')"),
+        (lambda rec: json.dumps(rec)[:20], "JSONDecodeError"),
+        (lambda rec: {**rec, "verdicts": None}, "verdicts must map title"),
+        (lambda rec: {**rec, "verdicts": {**rec["verdicts"], "title": "close"}},
+         "verdicts: unknown verdict"),
+        (lambda rec: {**rec, "status": "verified-ish"},
+         "status: unknown value 'verified-ish'"),
+        (lambda rec: {**rec, "authenticity": "0.5"},
+         "authenticity must be a number, got '0.5'"),
+        (lambda rec: {**rec, "authenticity": True},
+         "authenticity must be a number, got True"),
+        (lambda rec: {**rec, "cited_by_count": "12"},
+         "cited_by_count must be an integer or null, got '12'"),
+        (lambda rec: {**rec, "matched_candidate": 7},
+         "matched_candidate must be a string or null, got 7"),
+    ], ids=["no-cited-by-count", "malformed", "verdicts-null", "unknown-verdict",
+            "unknown-status", "authenticity-string", "authenticity-bool",
+            "cited-by-count-string", "matched-candidate-number"])
+    def test_unreadable_verification_record(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         assert main(["verify", *_args(out)]) == 0
         path = out / "verification.jsonl"
@@ -211,6 +227,7 @@ class TestExitCodes:
         assert main(["citetail", *_args(out), "--min-n", "10"]) == 2
         err = capsys.readouterr().err
         assert f"{path}: line 2" in err
+        assert message in err
         assert "re-run verify" in err
 
 
@@ -317,7 +334,7 @@ class TestZipfCommand:
 
 class TestStartup:
     def test_verify_does_not_import_scipy(self, tmp_path):
-        # scipy is loaded only for Spearman t-tail p-values (n >= 10).
+        # No command loads scipy; it is a test dependency only.
         code = (
             "import sys\n"
             "import refscale.cli\n"
@@ -366,16 +383,19 @@ class TestStartup:
 
     def test_report_imports_no_scipy_stats(self, tmp_path):
         # ttail's per-model and citetail Spearman calls take the t-tail,
-        # which needs scipy.special only; an offline run never loads the
-        # live client's network stack.
+        # which is computed in closed form; no scipy module is loaded, and
+        # an offline run never loads the live client's network stack.
         set_up("ttail", tmp_path)
         code = (
-            "import sys\n"
+            "import json, sys\n"
             "import refscale.cli\n"
             f"assert refscale.cli.main({['verify', *PATHS]!r}) == 0\n"
             f"assert refscale.cli.main({['report', *PATHS, '--min-n', '10']!r}) == 0\n"
-            "assert 'scipy.special' in sys.modules, 'no t-tail was reached'\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats'\n"
+            "doc = json.load(open('out/citetail_report.json'))\n"
+            "assert len(doc['included_models']) == 12, doc['included_models']\n"
+            "assert 0.0 < doc['spearman_p'] < 1.0, 'no t-tail was reached'\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n"
             "assert 'urllib.request' not in sys.modules, 'urllib.request'\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),

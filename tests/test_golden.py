@@ -10,8 +10,10 @@ names the artifact in CHANGES.md:
 
 ``ttail`` is the one corpus whose Spearman calls take the n >= 10 t-tail:
 12 models over 10 topics, each model with at least 10 matched references.
-``citetail_report.json`` prints that p-value at full precision. Its dataset
-also carries malformed entries, so ``parse_failures.jsonl`` is not empty.
+``citetail_report.json`` prints that p-value at full precision, so the
+manifest pins the closed-form t tail of ``stats._t_two_sided`` to the last
+bit. Its dataset also carries malformed entries, so ``parse_failures.jsonl``
+is not empty.
 """
 
 import contextlib

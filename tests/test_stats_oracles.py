@@ -1,8 +1,10 @@
 """The vectorised statistics kernels against the code they replaced
-(``tests/oracles.py``): every comparison is exact equality, except that the
+(``tests/oracles.py``): every comparison is exact equality, except two. The
 closed-form median bootstrap, the limit of the Monte Carlo it replaced, is
-held to an enumeration of every resample and to that Monte Carlo's error."""
+held to an enumeration of every resample and to that Monte Carlo's error.
+The closed-form t tail is held to the exact tail within a relative error."""
 
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -10,11 +12,16 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import stdtr
-
 import oracles
 from refscale import stats
-from refscale.stats import bootstrap_median_ci, bootstrap_statistic, spearman
+from refscale.stats import (
+    CellRefs,
+    bootstrap_median_ci,
+    bootstrap_statistic,
+    partial_weight_sweep,
+    spearman,
+)
+from refscale.verification import RelevanceLabel
 from refscale.zipflaw import bootstrap_alpha_ci, sample_power_law
 
 # Few distinct values, so most samples carry ties, some of them long runs.
@@ -53,21 +60,74 @@ class TestSpearman:
 
     @settings(max_examples=30, deadline=None)
     @given(paired(10, 40).filter(non_constant))
-    def test_t_tail_equal_scipy(self, pair):
+    def test_t_tail_rho_equal_and_p_near_exact(self, pair):
         x, y = pair
-        assert spearman(x, y) == oracles.spearman(x, y)
+        rho, p = spearman(x, y)
+        assert rho == oracles.spearman(x, y)[0]
+        n = len(x)
+        if abs(rho) == 1.0:
+            assert p == 0.0
+            return
+        t = abs(rho) * math.sqrt((n - 2) / (1.0 - rho * rho))
+        exact = oracles.t_tail_exact(t, n - 2)
+        assert abs(p - exact) <= 1e-13 * exact
 
 
 class TestTTail:
+    # scipy's stdtr, which this replaced, is itself 4.4e-11 off at df = 1,
+    # t = 6.8e-11.
     @settings(max_examples=300, deadline=None)
     @given(t=st.floats(0.0, allow_nan=False), df=st.integers(1, 5000))
     @example(t=0.0, df=1)
     @example(t=5e-324, df=7)
+    @example(t=6.8e-11, df=1)
+    @example(t=48.7, df=4225)  # the tail's terms reach the subnormal range
+    @example(t=1e155, df=1)  # t * t overflows
     @example(t=1e300, df=5000)
     @example(t=float("inf"), df=1)
     @example(t=float("inf"), df=5000)
-    def test_stdtr_equals_t_sf(self, t, df):
-        assert float(stdtr(df, -t)) == oracles.t_sf(t, df)
+    def test_closed_form_equals_exact_tail(self, t, df):
+        got = stats._t_two_sided(df, t)
+        exact = oracles.t_tail_exact(t, df)
+        if exact < 1e-300:
+            assert abs(got - exact) <= 1e-311
+        else:
+            assert abs(got - exact) <= 1e-11 * exact
+
+
+CELL = st.builds(
+    CellRefs,
+    model=st.sampled_from(["m0", "m1", "m2", "m3"]),
+    log10_p=st.floats(0.0, 3.0),
+    log10_s=st.floats(1.0, 6.0),
+    refs=st.lists(st.tuples(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]),
+                            st.sampled_from(list(RelevanceLabel))),
+                  min_size=1, max_size=60),
+)
+
+
+def outcome(sweep, *args):
+    """The rows, with floats by repr so that NaN equals NaN, or the error."""
+    try:
+        rows = sweep(*args)
+    except (ValueError, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+    return [{k: repr(v) for k, v in row.items()} for row in rows]
+
+
+class TestPartialWeightSweep:
+    # Qualities at 0 or 1 (say, one cell at 0.5 and the rest at 0) send the
+    # sigmoid fit's parameters off toward infinity, where both sweeps' fits
+    # warn of overflow alike.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.lists(CELL, min_size=4, max_size=12),
+           weights=st.lists(st.floats(0.0, 1.0), max_size=3).map(
+               lambda w: [0.0, *w, 1.0]),
+           baseline=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    def test_grouped_sweep_equals_loop(self, cells, weights, baseline):
+        assert outcome(partial_weight_sweep, cells, weights, baseline) == \
+            outcome(oracles.partial_weight_sweep, cells, weights, baseline)
 
 
 class TestExactMedianCI:

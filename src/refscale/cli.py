@@ -410,9 +410,15 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
             if not 0 <= count < math.inf:
                 raise IngestError(f"{counts_path}: line {reader.line_num} has no "
                                   f"finite non-negative count: {row[1]!r}")
+            if count == 0:
+                raise IngestError(f"{counts_path}: line {reader.line_num} has "
+                                  f"count {row[1]}; counts must be positive")
             counts.append(count)
     if not counts:
         raise IngestError(f"{counts_path}: no (concept, count) rows found")
+    if window and not 3 <= window <= len(counts):
+        raise IngestError(f"{counts_path}: --window {window} is outside "
+                          f"[3, {len(counts)}], the number of counts")
     rf = zipflaw.rank_frequencies(counts)
     alpha_ols, se, r2 = zipflaw.fit_zipf_ols(rf)
     x_min = float(min(rf.frequencies))
@@ -426,10 +432,14 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
         "bootstrap_ci": [ci.lower, ci.upper], "resamples": ZIPF_RESAMPLES,
         "n": len(rf),
     }, config)
-    if 3 <= window <= len(rf):
+    if window:
         profile = zipflaw.rolling_window_alpha(rf, window)
         write_csv(out / "zipf_rolling.csv", ["center_rank", "alpha_local"],
                   [(_fmt(c, 8), _fmt(a, 8)) for c, a in profile], config)
+    else:
+        # window is not a config field: an earlier run's profile would carry
+        # this run's stamp.
+        (out / "zipf_rolling.csv").unlink(missing_ok=True)
     print(f"zipf: OLS alpha={alpha_ols:.3f} (r2={r2:.3f}), MLE alpha={alpha_mle:.3f}")
     return EXIT_OK
 

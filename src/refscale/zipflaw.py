@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .stats import BootstrapCI, bootstrap_statistic, fit_ols
 
@@ -93,27 +94,40 @@ def bootstrap_alpha_ci(
     return BootstrapCI(point=point, lower=float(lower), upper=float(upper))
 
 
+# Rank windows are fitted a block of rows at a time. A block's temporaries are
+# a few (rows, window) arrays of this many cells (0.5 MB each), whatever
+# n x window is.
+_ROLLING_CHUNK_CELLS = 1 << 16
+
+
 def rolling_window_alpha(
     rf: RankedFrequencies, window: int
 ) -> List[Tuple[float, float]]:
     """Local OLS exponent over each contiguous rank window, stepping by 1.
 
-    Returns (center rank, local alpha) pairs.
+    Returns (center rank, local alpha) pairs. Each alpha is the negated
+    closed-form OLS slope of log frequency on log rank over its window. Log
+    frequency is taken relative to the window's first value, so a window of
+    equal frequencies gives exactly 0.
     """
     n = len(rf)
     if window < 3 or window > n:
         raise ValueError("window must satisfy 3 <= window <= n")
-    ranks = rf.ranks
-    logs_k = np.log(ranks)
-    logs_f = np.log(rf.frequencies)
-    out: List[Tuple[float, float]] = []
-    for start in range(0, n - window + 1):
-        sl = slice(start, start + window)
-        xk, yf = logs_k[sl], logs_f[sl]
-        slope = float(np.polyfit(xk, yf, 1)[0])
-        center = float(ranks[sl].mean())
-        out.append((center, -slope))
-    return out
+    log_k = sliding_window_view(np.log(rf.ranks), window)
+    log_f = sliding_window_view(np.log(rf.frequencies), window)
+    windows = n - window + 1
+    slopes = np.empty(windows)
+    step = max(1, _ROLLING_CHUNK_CELLS // window)
+    for lo in range(0, windows, step):
+        hi = min(lo + step, windows)
+        xc = log_k[lo:hi] - log_k[lo:hi].mean(axis=1, keepdims=True)
+        d = log_f[lo:hi] - log_f[lo:hi, :1]
+        d -= d.mean(axis=1, keepdims=True)
+        slopes[lo:hi] = (xc * d).sum(axis=1) / (xc * xc).sum(axis=1)
+    # The mean of ranks start+1 .. start+window, exact in floating point.
+    centers = np.arange(windows) + (window + 1) / 2
+    # 0.0 - (-0.0) is +0.0, so no profile row prints as -0.
+    return list(zip(centers.tolist(), (0.0 - slopes).tolist()))
 
 
 def sample_power_law(

@@ -13,6 +13,12 @@ Two are declared exceptions, held to a stated error instead:
 - The Spearman t tail is computed in closed form, where it was scipy's
   ``stdtr``. It is checked within a relative error against
   ``t_tail_exact``, the incomplete beta function at 50 digits.
+- The rolling Zipf exponent is a closed-form OLS slope, where it was one
+  ``np.polyfit`` per window. It is checked within a relative error against
+  ``rolling_window_alpha``, except that a window of equal counts, where
+  polyfit returns rounding noise, must give exactly 0. On a nearly flat
+  window polyfit's own rounding can exceed that error; there the closed
+  form is held to ``ols_slope_exact`` instead.
 """
 
 import json
@@ -77,6 +83,17 @@ def t_tail_exact(t, df) -> float:
         x = df / (df + mpmath.mpf(t) ** 2)
         return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x,
                                     regularized=True))
+
+
+def ols_slope_exact(x, y) -> float:
+    """OLS slope of the float arrays y on x, evaluated at 50 significant
+    digits from the same float64 inputs."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        ys = [mpmath.mpf(float(v)) for v in y]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        return float(sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+                     / sum((a - mx) ** 2 for a in xs))
 
 
 def exact_perm_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
@@ -147,6 +164,24 @@ def bootstrap_alpha_ci(samples, x_min: float, resamples: int, seed: int):
     alphas = 1.0 + len(x) / np.maximum(sums, 1e-300)
     lower, upper = np.percentile(alphas, [2.5, 97.5])
     return float(lower), float(upper)
+
+
+def rolling_window_alpha(rf, window: int):
+    """(center rank, local alpha) pairs from one ``np.polyfit`` per window."""
+    n = len(rf)
+    if window < 3 or window > n:
+        raise ValueError("window must satisfy 3 <= window <= n")
+    ranks = rf.ranks
+    logs_k = np.log(ranks)
+    logs_f = np.log(rf.frequencies)
+    out = []
+    for start in range(0, n - window + 1):
+        sl = slice(start, start + window)
+        xk, yf = logs_k[sl], logs_f[sl]
+        slope = float(np.polyfit(xk, yf, 1)[0])
+        center = float(ranks[sl].mean())
+        out.append((center, -slope))
+    return out
 
 
 # -- the relevance-weight sweep, one np.mean per cell and weight -------------

@@ -314,6 +314,7 @@ class TestZipfCommand:
         ("a,5\nb,inf\nc,1\n", 2, "line 2 has no finite non-negative count: 'inf'"),
         ("a,5\nb,nan\nc,1\n", 2, "line 2 has no finite non-negative count: 'nan'"),
         ("concept,count\na,1e3\nb,2.5e2\nc,20\n", 0, ""),
+        ("a,5\nb,3\nc,0\nd,1\n", 2, "line 3 has count 0; counts must be positive"),
     ])
     def test_counts_table(self, tmp_path, capsys, text, code, message):
         counts = tmp_path / "counts.csv"
@@ -323,6 +324,29 @@ class TestZipfCommand:
         assert got == code
         assert message in err
         assert "Traceback" not in err
+
+    def test_window_outside_range_exits_2_before_writing(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,9\nb,5\nc,3\nd,2\ne,1\n")
+        out = tmp_path / "out"
+        for window in ("50", "-4", "2", "6"):
+            assert main(["zipf", *_args(out), "--counts", str(counts),
+                         "--window", window]) == 2
+            assert f"--window {window} is outside [3, 5]" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_run_without_window_removes_earlier_profile(self, tmp_path):
+        # window is not a config field, so an earlier profile would carry
+        # the later run's stamp.
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,9\nb,5\nc,3\nd,2\ne,1\n")
+        out = tmp_path / "out"
+        args = ["zipf", *_args(out), "--counts", str(counts)]
+        assert main([*args, "--window", "3"]) == 0
+        assert len((out / "zipf_rolling.csv").read_text().splitlines()) == 2 + 3
+        assert main(args) == 0
+        assert (out / "zipf_report.json").exists()
+        assert not (out / "zipf_rolling.csv").exists()
 
     def test_every_count_row_is_used(self, tmp_path):
         counts = tmp_path / "counts.csv"

@@ -1,8 +1,11 @@
 """The vectorised statistics kernels against the code they replaced
-(``tests/oracles.py``): every comparison is exact equality, except two. The
-closed-form median bootstrap, the limit of the Monte Carlo it replaced, is
-held to an enumeration of every resample and to that Monte Carlo's error.
-The closed-form t tail is held to the exact tail within a relative error."""
+(``tests/oracles.py``): every comparison is exact equality, except three.
+The closed-form median bootstrap, the limit of the Monte Carlo it replaced,
+is held to an enumeration of every resample and to that Monte Carlo's error.
+The closed-form t tail is held to the exact tail within a relative error.
+The closed-form rolling Zipf exponent is held to the polyfit loop within a
+relative error (to a 50-digit slope where polyfit's own rounding exceeds
+it), and to exactly 0 on a window of equal counts."""
 
 import math
 import tracemalloc
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracles
-from refscale import stats
+from refscale import stats, zipflaw
+from refscale.cli import _fmt
 from refscale.stats import (
     CellRefs,
     bootstrap_median_ci,
@@ -22,7 +26,12 @@ from refscale.stats import (
     spearman,
 )
 from refscale.verification import RelevanceLabel
-from refscale.zipflaw import bootstrap_alpha_ci, sample_power_law
+from refscale.zipflaw import (
+    bootstrap_alpha_ci,
+    rank_frequencies,
+    rolling_window_alpha,
+    sample_power_law,
+)
 
 # Few distinct values, so most samples carry ties, some of them long runs.
 TIED = st.sampled_from([-2.5, 0.0, 0.0, 1.0, 3.0, 7.25])
@@ -218,3 +227,43 @@ class TestBootstrap:
             tracemalloc.stop()
         budget = 2 * 8 * stats._BOOTSTRAP_CHUNK_CELLS
         assert max(peaks) < budget + 8 * 20_000 * 4
+
+
+# Runs of one count from 1 to 10**7: ties, long flat tails, and counts that
+# span several decades.
+COUNT_RUN = st.tuples(
+    st.integers(0, 6).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
+    st.integers(1, 40))
+
+
+@st.composite
+def counts_and_window(draw):
+    runs = draw(st.lists(COUNT_RUN, min_size=1, max_size=10))
+    counts = [count for count, length in runs for _ in range(length)][:200]
+    counts += [1] * (3 - len(counts))
+    return counts, draw(st.integers(3, len(counts)))
+
+
+class TestRollingAlpha:
+    @settings(max_examples=80, deadline=None)
+    @given(case=counts_and_window(), cells=st.integers(1, 500))
+    # One window where polyfit's rounding exceeds 1e-10 relative.
+    @example(case=([9_999_999] * 28 + [9_999_998], 29), cells=500)
+    # A long flat tail split over several blocks.
+    @example(case=([50, 20, 7] + [3] * 120, 10), cells=64)
+    def test_closed_form_equals_polyfit_loop(self, case, cells):
+        counts, window = case
+        rf = rank_frequencies(counts)
+        with mock.patch.object(zipflaw, "_ROLLING_CHUNK_CELLS", cells):
+            got = rolling_window_alpha(rf, window)
+        want = oracles.rolling_window_alpha(rf, window)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        log_k, log_f = np.log(rf.ranks), np.log(rf.frequencies)
+        for start, ((_, alpha), (_, alpha_loop)) in enumerate(zip(got, want)):
+            sl = slice(start, start + window)
+            in_window = rf.frequencies[sl]
+            if (in_window == in_window[0]).all():
+                assert alpha == 0.0 and _fmt(alpha, 8) == "0"
+            elif not math.isclose(alpha, alpha_loop, rel_tol=1e-10):
+                exact = oracles.ols_slope_exact(log_k[sl], log_f[sl])
+                assert math.isclose(alpha, -exact, rel_tol=1e-12)

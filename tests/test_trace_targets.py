@@ -1,8 +1,9 @@
 """The benchmark's traced mode fails the whole run when one of the names in
 ``perfbench/tracing.py::TARGETS`` is missing or never called. This runs the
-tracer around an in-process demo ``verify`` + ``report`` so that a renamed or
-bypassed stage function fails here first. ``perfbench/`` is loaded by path
-and not modified, as ``test_golden.py`` loads its corpus generator."""
+tracer around an in-process demo ``verify`` + ``report``, and a ``zipf`` on a
+small counts table, so that a renamed or bypassed stage function fails here
+first. ``perfbench/`` is loaded by path and not modified, as
+``test_golden.py`` loads its corpus generator."""
 
 import importlib.util
 import sys
@@ -24,11 +25,16 @@ def test_every_trace_target_is_called(tmp_path):
     tracing = _tracing()
     args = ["--dataset", str(DEMO_DATASET), "--fixtures", str(DEMO_FIXTURES),
             "--output-dir", str(tmp_path / "out")]
+    counts = tmp_path / "counts.csv"
+    counts.write_text("concept,count\n" + "".join(
+        f"c{k},{1000 // k}\n" for k in range(1, 13)))
     tracer = tracing.Tracer()
     with tracer.installed():
         assert main(["verify", *args]) == 0
         assert main(["report", *args, "--min-n", "10"]) == 0
+        assert main(["zipf", *args, "--counts", str(counts), "--window", "5"]) == 0
     spans = tracer.summary()
-    expected = [name for name, _, _ in tracing.TARGETS
-                if not (name.startswith("zipflaw.") or name == "cli.cmd_zipf")]
+    expected = [name for name, _, _ in tracing.TARGETS]
+    assert {"cli.cmd_zipf", "zipflaw.bootstrap_alpha_ci",
+            "zipflaw.rolling_window_alpha"} <= set(expected)
     assert [name for name in expected if spans[name]["calls"] == 0] == []

@@ -26,12 +26,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 # imported by the commands that use them, so ingest, verify and score do not
 # load numpy. Their functions are called through the module, where
 # perfbench's tracer patches them, and never bound into this module's globals.
-from .atomic import atomic_write
+from .atomic import atomic_write, atomic_write_jsonl
 from .citations import load_stopwords
-from .dataset import Dataset, IngestError, cells_to_csv, ingest_dataset, model_quality
+from .dataset import (Dataset, IngestError, ObservationCell, build_record, cells_to_csv,
+                      ingest_dataset, load_cells, model_quality)
 from .openalex import FixtureMiss, OpenAlexClient
 from .pipeline import FixtureMissBatch, parse_corpus, score_corpus, verify_corpus
-from .verification import VerificationResult
+from .verification import VerificationResult, results_from_jsonl, results_to_jsonl
 
 if TYPE_CHECKING:
     from .stats import SigmoidFit
@@ -115,37 +116,35 @@ def _fmt(x: float, digits: int = 10) -> str:
     return f"{x:.{digits}g}"
 
 
-# -- persistence of intermediate artifacts -------------------------------------
+# -- loaders of upstream artifacts ---------------------------------------------
 
-def _results_path(config: RunConfig) -> Path:
-    return Path(config.output_dir) / "verification.jsonl"
-
-
-def save_results(results, corpus, config: RunConfig) -> None:
-    lines = []
-    for key in sorted(results):
-        model, topic, index = key
-        rec = {"model": model, "topic": topic, "index": index,
-               "title": corpus.refs[key].title}
-        rec.update(results[key].to_dict())
-        lines.append(json.dumps(rec, sort_keys=True))
-    atomic_write(_results_path(config), "\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_results(config: RunConfig):
-    path = _results_path(config)
+def _upstream(config: RunConfig, name: str) -> Path:
+    path = Path(config.output_dir) / name
     if not path.exists():
         raise UpstreamMissing(path)
-    results = {}
-    for n, line in enumerate(path.read_text().splitlines(), 1):
-        try:
-            rec = json.loads(line)
-            results[(rec["model"], rec["topic"], rec["index"])] = \
-                VerificationResult.from_dict(rec)
-        except (KeyError, TypeError, ValueError) as err:
-            raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
-                              "re-run verify") from err
-    return results
+    return path
+
+
+def load_results(config: RunConfig) -> Dict[Tuple[str, str, int], VerificationResult]:
+    return results_from_jsonl(_upstream(config, "verification.jsonl"))
+
+
+def _load_cells(config: RunConfig) -> List[ObservationCell]:
+    cells = load_cells(_upstream(config, "observations.csv"))
+    missing_s = sorted({c.topic for c in cells if c.log10_s is None})
+    if missing_s:
+        raise IngestError("cells missing works count for topic(s): " + ", ".join(missing_s))
+    return cells
+
+
+def _load_fit(config: RunConfig) -> SigmoidFit:
+    from .stats import SigmoidFit
+
+    path = _upstream(config, "fit_report.json")
+    try:
+        return build_record(SigmoidFit, "sigmoid", json.loads(path.read_text())["sigmoid"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise IngestError(f"{path}: unreadable fit ({err!r}); re-run fit") from err
 
 
 class UpstreamMissing(Exception):
@@ -169,7 +168,7 @@ class RunContext:
         return load_results(self.config)
 
     @cached_property
-    def cells(self) -> List[Dict[str, str]]:
+    def cells(self) -> List[ObservationCell]:
         return _load_cells(self.config)
 
     @cached_property
@@ -209,17 +208,13 @@ def cmd_verify(ctx: RunContext) -> int:
         overlap_threshold=config.overlap_threshold,
         contradiction_penalty=config.contradiction_penalty,
     )
-    save_results(results, corpus, config)
+    out = Path(config.output_dir)
+    results_to_jsonl(results, corpus.refs, out / "verification.jsonl")
     acct = corpus.accounting
-    write_json(
-        Path(config.output_dir) / "accounting.json",
-        {"accounting": asdict(acct),
-         "status_counts": _status_counts(results)},
-        config,
-    )
-    failures = "\n".join(json.dumps(f, sort_keys=True) for f in corpus.failures)
-    atomic_write(Path(config.output_dir) / "parse_failures.jsonl",
-                  failures + ("\n" if failures else ""))
+    write_json(out / "accounting.json",
+               {"accounting": asdict(acct), "status_counts": _status_counts(results)},
+               config)
+    atomic_write_jsonl(out / "parse_failures.jsonl", corpus.failures)
     print(f"accounting: requested {acct.requested} / produced {acct.produced} "
           f"/ analysed {acct.analysed}")
     return EXIT_OK
@@ -234,9 +229,10 @@ def _status_counts(results) -> Dict[str, int]:
 
 def cmd_score(ctx: RunContext) -> int:
     config, results, dataset = ctx.config, ctx.results, ctx.dataset
-    cells, omitted = score_corpus(dataset, results, config.partial_weight)
+    cells, omitted = score_corpus(dataset, results, config.partial_weight,
+                                  config.moe_convention)
     out = Path(config.output_dir)
-    cells_to_csv(cells, dataset, out / "observations.csv", config.moe_convention)
+    cells_to_csv(cells, out / "observations.csv")
     mq = model_quality(cells)
     write_csv(out / "model_quality.csv", ["model", "quality"],
               [(m, _fmt(q)) for m, q in mq.items()], config)
@@ -247,45 +243,27 @@ def cmd_score(ctx: RunContext) -> int:
     return EXIT_OK
 
 
-def _load_cells(config: RunConfig):
-    path = Path(config.output_dir) / "observations.csv"
-    if not path.exists():
-        raise UpstreamMissing(path)
-    with path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    missing_s = sorted({r["topic"] for r in rows if not r["log10_works"]})
-    if missing_s:
-        raise IngestError(
-            "cells missing works count for topic(s): " + ", ".join(missing_s)
-        )
-    return rows
-
-
 def cmd_fit(ctx: RunContext) -> int:
     import numpy as np
 
     from . import stats, theory
 
-    config, rows = ctx.config, ctx.cells
-    fitted = [r for r in rows if r["log10_params"]]
-    triples = [
-        (float(r["log10_params"]), float(r["log10_works"]), float(r["quality"]))
-        for r in fitted
-    ]
+    config, cells = ctx.config, ctx.cells
+    fitted = [c for c in cells if c.log10_p is not None]
+    triples = [(c.log10_p, c.log10_s, c.quality) for c in fitted]
     sig = stats.fit_sigmoid(triples)
     arr = np.asarray(triples)
     two = stats.fit_ols(arr[:, :2], arr[:, 2])
     one = stats.fit_ols(arr[:, 0], arr[:, 2])
     f_stat, dof = stats.incremental_f(two, one)
 
-    # Model-level log-linear fit (one point per model)
-    by_model: Dict[str, List[Tuple[float, float]]] = {}
-    for r in fitted:
-        by_model.setdefault(r["model"], []).append(
-            (float(r["log10_params"]), float(r["quality"]))
-        )
-    pts = [(v[0][0], float(np.mean([q for _, q in v])))
-           for v in (by_model[m] for m in sorted(by_model))]
+    # Model-level log-linear fit (one point per model on the fit)
+    by_model: Dict[str, List[ObservationCell]] = {}
+    for cell in cells:
+        by_model.setdefault(cell.model, []).append(cell)
+    pts = [(on_fit[0].log10_p, float(np.mean([c.quality for c in on_fit])))
+           for on_fit in ([c for c in by_model[m] if c.log10_p is not None]
+                          for m in sorted(by_model)) if on_fit]
     model_fit = None
     if len(pts) >= 3:
         model_fit = stats.fit_ols([p for p, _ in pts], [q for _, q in pts])
@@ -297,19 +275,19 @@ def cmd_fit(ctx: RunContext) -> int:
         "incremental_f": {"f": f_stat, "dof": list(dof)},
         "ols_model_level_size_only": _ols_dict(model_fit) if model_fit else None,
         "n_cells_fit": len(triples),
-        "n_cells_total": len(rows),
+        "n_cells_total": len(cells),
     }
     out = Path(config.output_dir)
     write_json(out / "fit_report.json", report, config)
 
     # Per-model rank correlation of quality with content representation.
     per_model = []
-    for model in sorted({r["model"] for r in rows}):
-        sub = [r for r in rows if r["model"] == model]
+    for model in sorted(by_model):
+        sub = by_model[model]
         if len(sub) < 3:
             continue
-        s_vals = [float(r["log10_works"]) for r in sub]
-        q_vals = [float(r["quality"]) for r in sub]
+        s_vals = [c.log10_s for c in sub]
+        q_vals = [c.quality for c in sub]
         if np.ptp(s_vals) == 0 or np.ptp(q_vals) == 0:
             continue
         rho, p = stats.spearman(s_vals, q_vals)
@@ -320,11 +298,9 @@ def cmd_fit(ctx: RunContext) -> int:
 
     # Regime classification per cell under the fitted parameters.
     regimes = []
-    for r in fitted:
-        z = (sig.alpha * float(r["log10_params"])
-             + sig.beta * float(r["log10_works"]) + sig.gamma)
-        regimes.append((r["model"], r["topic"], _fmt(z, 6),
-                        theory.classify_regime(z)))
+    for c in fitted:
+        z = sig.alpha * c.log10_p + sig.beta * c.log10_s + sig.gamma
+        regimes.append((c.model, c.topic, _fmt(z, 6), theory.classify_regime(z)))
     write_csv(out / "regimes.csv", ["model", "topic", "z", "regime"],
               regimes, config)
 
@@ -352,8 +328,6 @@ def _sweep(ctx: RunContext):
     from . import stats
 
     config, dataset, results = ctx.config, ctx.dataset, ctx.results
-    if not dataset.relevance_labels:
-        return None
     # One entry per (model, topic), made on its first reference; None for a
     # cell off the fit (no parameter count, or no works count).
     by_cell: Dict[Tuple[str, str], Optional[stats.CellRefs]] = {}
@@ -363,13 +337,9 @@ def _sweep(ctx: RunContext):
             return None
         cell_key = key[:2]
         if cell_key not in by_cell:
-            model, topic = cell_key
-            params = dataset.models[model].fit_params(config.moe_convention)
-            works = dataset.topics[topic].works_count
-            by_cell[cell_key] = (
-                stats.CellRefs(model=model, log10_p=math.log10(params),
-                               log10_s=math.log10(works), refs=[])
-                if params is not None and works > 0 else None)
+            log10_p, log10_s = dataset.cell_axes(*cell_key, config.moe_convention)
+            by_cell[cell_key] = (stats.CellRefs(cell_key[0], log10_p, log10_s, [])
+                                 if log10_p is not None and log10_s is not None else None)
         cell = by_cell[cell_key]
         if cell is not None:
             cell.refs.append((res.authenticity, label))
@@ -490,15 +460,6 @@ def cmd_theory(ctx: RunContext) -> int:
     return EXIT_OK
 
 
-def _load_fit(config: RunConfig) -> SigmoidFit:
-    from .stats import SigmoidFit
-
-    path = Path(config.output_dir) / "fit_report.json"
-    if not path.exists():
-        raise UpstreamMissing(path)
-    return SigmoidFit(**json.loads(path.read_text())["sigmoid"])
-
-
 def cmd_citetail(ctx: RunContext, min_n: int) -> int:
     from . import citetail
 
@@ -552,15 +513,14 @@ def cmd_report(ctx: RunContext, min_n: int) -> int:
                    {"skipped": str(err)}, config)
 
     # Model x topic quality matrix.
-    rows = ctx.cells
-    models = sorted({r["model"] for r in rows})
-    topics = sorted({r["topic"] for r in rows},
-                    key=lambda t: -float(next(r["log10_works"] for r in rows
-                                              if r["topic"] == t)))
-    matrix = []
-    for model in models:
-        by_topic = {r["topic"]: r["quality"] for r in rows if r["model"] == model}
-        matrix.append([model] + [by_topic.get(t, "") for t in topics])
+    cells = ctx.cells
+    quality = {(c.model, c.topic): c.quality for c in cells}
+    log10_s = {c.topic: c.log10_s for c in cells}
+    # Name breaks ties, so the order does not follow the hash seed.
+    topics = sorted(log10_s, key=lambda t: (-log10_s[t], t))
+    matrix = [[model] + [_fmt(quality[model, t]) if (model, t) in quality else ""
+                         for t in topics]
+              for model in sorted({c.model for c in cells})]
     write_csv(out / "quality_matrix.csv", ["model"] + topics, matrix, config)
 
     summary = [

@@ -1,5 +1,5 @@
-"""Domain data model, dataset ingestion, deduplication, and aggregation of
-per-reference scores into model x topic observation cells.
+"""Domain data model, dataset ingestion, deduplication, and the
+``observations.csv`` codec for model x topic observation cells.
 
 The input dataset is a single JSON document with arrays ``models``,
 ``topics``, ``generations``, and optionally ``relevance_labels``. Reference
@@ -15,11 +15,11 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .atomic import atomic_write
 from .citations import ParsedReference, normalize_title
-from .verification import RelevanceLabel, VerificationResult, relevance_value
+from .verification import RelevanceLabel
 
 __all__ = [
     "ModelSpec",
@@ -30,9 +30,9 @@ __all__ = [
     "IngestError",
     "ingest_dataset",
     "dedup_cell",
-    "build_observations",
     "model_quality",
     "cells_to_csv",
+    "load_cells",
 ]
 
 ARCHITECTURES = ("dense", "dense-cot", "moe", "moe-cot", "unknown")
@@ -48,6 +48,7 @@ _FIELD_TYPES = {
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
     "bool": ((bool,), "true or false"),
+    "float": ((int, float), "a number"),
     "Optional[str]": ((str, type(None)), "a string or null"),
     "Optional[float]": ((int, float, type(None)), "a number or null"),
 }
@@ -131,18 +132,23 @@ class RawGeneration:
 
 @dataclass
 class ObservationCell:
-    """Aggregate scores for one (model, topic) cell."""
+    """One (model, topic) cell: a row of ``observations.csv``.
+
+    ``log10_p`` and ``log10_s`` are None for a cell off the fit: a model
+    without a parameter count, or a topic without works.
+    """
 
     model: str
     topic: str
-    n_analysed: int
-    authenticity_mean: float
-    relevance_mean: float
+    log10_p: Optional[float]
+    log10_s: Optional[float]
     quality: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError(f"quality out of range: {self.quality}")
+        if not all(x is None or math.isfinite(x) for x in (self.log10_p, self.log10_s)):
+            raise ValueError(f"axes must be finite: {self.log10_p}, {self.log10_s}")
 
 
 @dataclass
@@ -159,6 +165,15 @@ class Dataset:
         for gen in self.generations:
             counts[(gen.model, gen.topic)] = counts.get((gen.model, gen.topic), 0) + 1
         return counts
+
+    def cell_axes(self, model: str, topic: str, moe_convention: str = "total"
+                  ) -> Tuple[Optional[float], Optional[float]]:
+        """The cell's exact (log10 P, log10 S), P under ``moe_convention``;
+        None for an unknown P, or for S when the topic has no works."""
+        params = self.models[model].fit_params(moe_convention)
+        works = self.topics[topic].works_count
+        return (None if params is None else math.log10(params),
+                None if works <= 0 else math.log10(works))
 
 
 def ingest_dataset(path) -> Dataset:
@@ -178,21 +193,21 @@ def ingest_dataset(path) -> Dataset:
 
     models: Dict[str, ModelSpec] = {}
     for where, rec in _records(doc, "models"):
-        spec = _build(ModelSpec, where, rec)
+        spec = build_record(ModelSpec, where, rec)
         if spec.name in models:
             raise IngestError(f"{where}: duplicate model name {spec.name!r}")
         models[spec.name] = spec
 
     topics: Dict[str, TopicSpec] = {}
     for where, rec in _records(doc, "topics"):
-        spec = _build(TopicSpec, where, rec)
+        spec = build_record(TopicSpec, where, rec)
         if spec.name in topics:
             raise IngestError(f"{where}: duplicate topic name {spec.name!r}")
         topics[spec.name] = spec
 
     generations: List[RawGeneration] = []
     for where, rec in _records(doc, "generations"):
-        gen = _build(RawGeneration, where, rec)
+        gen = build_record(RawGeneration, where, rec)
         if gen.model not in models:
             raise IngestError(f"{where}: unknown model key {gen.model!r}")
         if gen.topic not in topics:
@@ -232,7 +247,7 @@ def _records(doc: dict, section: str) -> Iterable[Tuple[str, dict]]:
         yield where, rec
 
 
-def _build(cls, where: str, rec: dict):
+def build_record(cls, where: str, rec: dict):
     """``cls(**rec)`` after checking each field's JSON type, with every fault
     prefixed by the record's position."""
     for f in fields(cls):
@@ -261,52 +276,6 @@ def dedup_cell(refs: Sequence[ParsedReference]) -> List[ParsedReference]:
     return kept
 
 
-def build_observations(
-    dataset: Dataset,
-    results: Mapping[Tuple[str, str, int], VerificationResult],
-    relevance_labels: Optional[Mapping[Tuple[str, str, int], RelevanceLabel]] = None,
-    partial_weight: float = 0.50,
-) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
-    """Aggregate per-reference results into one cell per (model, topic).
-
-    ``results`` holds a VerificationResult for every analysed reference.
-    Cell quality is the mean over references of authenticity x relevance.
-    Returns (cells, omitted) where ``omitted`` lists cells with zero
-    analysed references.
-    """
-    labels = dataset.relevance_labels if relevance_labels is None else relevance_labels
-    missing = [key for key in results if key not in labels]
-    if missing:
-        ids = ", ".join(f"({m}, {t}, {i})" for m, t, i in sorted(missing)[:20])
-        raise ValueError(f"missing relevance label for reference(s): {ids}")
-
-    by_cell: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-    for (model, topic, idx), res in results.items():
-        rel = relevance_value(labels[(model, topic, idx)], partial_weight)
-        by_cell.setdefault((model, topic), []).append((res.authenticity, rel))
-
-    cell_keys = {(g.model, g.topic) for g in dataset.generations}
-    cells: List[ObservationCell] = []
-    omitted: List[Tuple[str, str]] = []
-    for key in sorted(cell_keys):
-        pairs = by_cell.get(key, [])
-        if not pairs:
-            omitted.append(key)
-            continue
-        n = len(pairs)
-        cells.append(
-            ObservationCell(
-                model=key[0],
-                topic=key[1],
-                n_analysed=n,
-                authenticity_mean=sum(a for a, _ in pairs) / n,
-                relevance_mean=sum(r for _, r in pairs) / n,
-                quality=sum(a * r for a, r in pairs) / n,
-            )
-        )
-    return cells, omitted
-
-
 def model_quality(cells: Iterable[ObservationCell]) -> Dict[str, float]:
     """Model-level quality: unweighted mean over that model's cells
     (equal topic weighting in the balanced design)."""
@@ -316,27 +285,42 @@ def model_quality(cells: Iterable[ObservationCell]) -> Dict[str, float]:
     return {m: sum(v) / len(v) for m, v in sorted(sums.items())}
 
 
-def cells_to_csv(
-    cells: Sequence[ObservationCell],
-    dataset: Dataset,
-    path,
-    moe_convention: str = "total",
-) -> None:
-    """CSV with columns model, topic, log10_params, log10_works, quality,
-    written atomically with the csv module's CRLF row endings."""
+_CELL_COLUMNS = ["model", "topic", "log10_params", "log10_works", "quality"]
+
+
+def cells_to_csv(cells: Sequence[ObservationCell], path) -> None:
+    """Write ``observations.csv`` atomically, with the csv module's CRLF row
+    endings: numbers at ``.10g``, an axis off the fit as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["model", "topic", "log10_params", "log10_works", "quality"])
+    writer.writerow(_CELL_COLUMNS)
     for cell in cells:
-        params = dataset.models[cell.model].fit_params(moe_convention)
-        works = dataset.topics[cell.topic].works_count
-        writer.writerow(
-            [
-                cell.model,
-                cell.topic,
-                "" if params is None else f"{math.log10(params):.10g}",
-                "" if works <= 0 else f"{math.log10(works):.10g}",
-                f"{cell.quality:.10g}",
-            ]
-        )
+        writer.writerow([cell.model, cell.topic,
+                         "" if cell.log10_p is None else f"{cell.log10_p:.10g}",
+                         "" if cell.log10_s is None else f"{cell.log10_s:.10g}",
+                         f"{cell.quality:.10g}"])
     atomic_write(path, buf.getvalue())
+
+
+def load_cells(path) -> List[ObservationCell]:
+    """Read ``observations.csv`` back into cells, an empty axis as None. A wrong
+    header, a row without five fields, a value that is not a finite number or a
+    quality outside [0, 1] raises IngestError naming the file and the line."""
+    path = Path(path)
+    cells: List[ObservationCell] = []
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != _CELL_COLUMNS:
+            raise IngestError(f"{path}: line 1: expected columns {','.join(_CELL_COLUMNS)}"
+                              f", got {header!r}; re-run score")
+        for row in reader:
+            try:
+                model, topic, log10_p, log10_s, quality = row
+                cells.append(ObservationCell(
+                    model, topic, None if log10_p == "" else float(log10_p),
+                    None if log10_s == "" else float(log10_s), float(quality)))
+            except ValueError as err:
+                raise IngestError(f"{path}: line {reader.line_num}: {err}; "
+                                  "re-run score") from err
+    return cells

@@ -1,16 +1,16 @@
-"""End-to-end wiring of the stages: split and parse raw generations, collapse
-duplicates, verify against the metadata service, and aggregate into
-observation cells. The CLI is a thin shell over these functions."""
+"""The stages from dataset to observation cells: split and parse raw
+generations, collapse duplicates, verify against the metadata service, and
+aggregate into cells. The CLI's commands call these and write the results."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from .citations import ParseFailure, ParsedReference, parse_apa, split_reference_list
-from .dataset import Dataset, ObservationCell, build_observations, dedup_cell
+from .dataset import Dataset, ObservationCell, dedup_cell
 from .openalex import FixtureMiss, OpenAlexClient
-from .verification import VerificationResult, verify_reference
+from .verification import RefKey, VerificationResult, relevance_value, verify_reference
 
 __all__ = [
     "Accounting",
@@ -20,8 +20,6 @@ __all__ = [
     "verify_corpus",
     "score_corpus",
 ]
-
-RefKey = Tuple[str, str, int]
 
 
 @dataclass
@@ -120,10 +118,32 @@ def verify_corpus(
     return results
 
 
-def score_corpus(
-    dataset: Dataset,
-    results: Mapping[RefKey, VerificationResult],
-    partial_weight: float = 0.50,
-) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
-    """Aggregate verification results into observation cells."""
-    return build_observations(dataset, results, partial_weight=partial_weight)
+def score_corpus(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
+                 partial_weight: float = 0.50, moe_convention: str = "total"
+                 ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
+    """One cell per (model, topic) with analysed references, at the dataset's
+    ``cell_axes``. Quality is the mean of authenticity x relevance over the
+    cell's references, each of which needs a relevance label. Returns (cells,
+    omitted), where ``omitted`` lists the cells without references."""
+    labels = dataset.relevance_labels
+    missing = [key for key in results if key not in labels]
+    if missing:
+        ids = ", ".join(f"({m}, {t}, {i})" for m, t, i in sorted(missing)[:20])
+        raise ValueError(f"missing relevance label for reference(s): {ids}")
+
+    products: Dict[Tuple[str, str], List[float]] = {}
+    for key, res in results.items():
+        rel = relevance_value(labels[key], partial_weight)
+        products.setdefault(key[:2], []).append(res.authenticity * rel)
+
+    cells: List[ObservationCell] = []
+    omitted: List[Tuple[str, str]] = []
+    for model, topic in sorted({(g.model, g.topic) for g in dataset.generations}):
+        prods = products.get((model, topic))
+        if not prods:
+            omitted.append((model, topic))
+            continue
+        cells.append(ObservationCell(
+            model, topic, *dataset.cell_axes(model, topic, moe_convention),
+            quality=sum(prods) / len(prods)))
+    return cells, omitted

@@ -8,11 +8,14 @@ and not configurable.
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from .atomic import atomic_write_jsonl
 from .citations import ParsedReference, content_word_overlap, normalize_title, surname_of
 from .openalex import ExternalWork
 
@@ -21,6 +24,8 @@ __all__ = [
     "Status",
     "RelevanceLabel",
     "VerificationResult",
+    "results_to_jsonl",
+    "results_from_jsonl",
     "FIELD_WEIGHTS",
     "VERDICT_SCORES",
     "FIELD_KINDS",
@@ -96,39 +101,59 @@ class VerificationResult:
     matched_candidate: Optional[str] = None
     cited_by_count: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "verdicts": {k: v.value for k, v in self.verdicts.items()},
-            "authenticity": self.authenticity,
-            "status": self.status.value,
-            "matched_candidate": self.matched_candidate,
-            "cited_by_count": self.cited_by_count,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationResult":
-        """The inverse of ``to_dict``. A missing key raises KeyError; a field
-        of the wrong type or outside its values raises ValueError naming it."""
-        raw = d["verdicts"]
-        if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
-            raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+RefKey = Tuple[str, str, int]
+
+
+def results_to_jsonl(results: Mapping[RefKey, VerificationResult],
+                     refs: Mapping[RefKey, ParsedReference], path) -> None:
+    """Write ``verification.jsonl``: one line per result in key order, with
+    the key, the reference's title and the result's fields."""
+    atomic_write_jsonl(path, (
+        {"model": m, "topic": t, "index": i, "title": refs[m, t, i].title,
+         "verdicts": {k: v.value for k, v in res.verdicts.items()},
+         "authenticity": res.authenticity, "status": res.status.value,
+         "matched_candidate": res.matched_candidate,
+         "cited_by_count": res.cited_by_count}
+        for (m, t, i), res in sorted(results.items())))
+
+
+def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
+    """Read ``verification.jsonl`` back, keyed by (model, topic, index). A line
+    that is not JSON, lacks a key, or has a field of the wrong type or outside
+    its values raises IngestError naming the file and the line."""
+    from .dataset import IngestError  # dataset imports this module
+
+    path = Path(path)
+    results: Dict[RefKey, VerificationResult] = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
         try:
-            verdicts = {k: _VERDICTS[v] for k, v in raw.items()}
-        except (KeyError, TypeError):
-            raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
-        status = d["status"]
-        if not isinstance(status, str) or status not in _STATUSES:
-            raise ValueError(f"status: unknown value {status!r}")
-        authenticity = d["authenticity"]
-        if isinstance(authenticity, bool) or not isinstance(authenticity, (int, float)):
-            raise ValueError(f"authenticity must be a number, got {authenticity!r}")
-        matched = d["matched_candidate"]
-        if matched is not None and not isinstance(matched, str):
-            raise ValueError(f"matched_candidate must be a string or null, got {matched!r}")
-        cited = d["cited_by_count"]
-        if cited is not None and (isinstance(cited, bool) or not isinstance(cited, int)):
-            raise ValueError(f"cited_by_count must be an integer or null, got {cited!r}")
-        return cls(verdicts, authenticity, _STATUSES[status], matched, cited)
+            rec = json.loads(line)
+            raw = rec["verdicts"]
+            if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
+                raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+            try:
+                verdicts = {k: _VERDICTS[v] for k, v in raw.items()}
+            except (KeyError, TypeError):
+                raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
+            status = rec["status"]
+            if not isinstance(status, str) or status not in _STATUSES:
+                raise ValueError(f"status: unknown value {status!r}")
+            authenticity = rec["authenticity"]
+            if isinstance(authenticity, bool) or not isinstance(authenticity, (int, float)):
+                raise ValueError(f"authenticity must be a number, got {authenticity!r}")
+            matched = rec["matched_candidate"]
+            if matched is not None and not isinstance(matched, str):
+                raise ValueError(f"matched_candidate must be a string or null, got {matched!r}")
+            cited = rec["cited_by_count"]
+            if cited is not None and (isinstance(cited, bool) or not isinstance(cited, int)):
+                raise ValueError(f"cited_by_count must be an integer or null, got {cited!r}")
+            results[(rec["model"], rec["topic"], rec["index"])] = VerificationResult(
+                verdicts, authenticity, _STATUSES[status], matched, cited)
+        except (KeyError, TypeError, ValueError) as err:
+            raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
+                              "re-run verify") from err
+    return results
 
 
 _DOI_PREFIX_RE = re.compile(

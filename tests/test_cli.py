@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -230,6 +231,90 @@ class TestExitCodes:
         assert message in err
         assert "re-run verify" in err
 
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [["model", "topic", "log10_params", "log10_works", "q"],
+                       *rows[1:]], "line 1: expected columns"),
+        (lambda rows: [rows[0], rows[1][:4], *rows[2:]],
+         "line 2: not enough values to unpack (expected 5, got 4)"),
+        (lambda rows: [rows[0], [*rows[1][:2], "many", *rows[1][3:]], *rows[2:]],
+         "line 2: could not convert string to float: 'many'"),
+        (lambda rows: [rows[0], [*rows[1][:4], "1.5"], *rows[2:]],
+         "line 2: quality out of range: 1.5"),
+    ], ids=["header", "short-row", "non-numeric", "quality-above-1"])
+    def test_malformed_observations(self, tmp_path, capsys, pipeline_out, edit, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "observations.csv"
+        with (pipeline_out / path.name).open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(edit(rows))
+        assert main(["fit", *_args(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "re-run score" in err
+        assert "Traceback" not in err
+
+    def test_observations_without_works_count(self, tmp_path, capsys, pipeline_out):
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (pipeline_out / "observations.csv").read_text().splitlines()
+        model, topic, params, _, quality = lines[1].split(",")
+        lines[1] = ",".join([model, topic, params, "", quality])
+        (out / "observations.csv").write_text("\n".join(lines) + "\n")
+        assert main(["fit", *_args(out)]) == 2
+        assert f"cells missing works count for topic(s): {topic}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "sigmoid": [1, 2]},
+        lambda doc: {k: v for k, v in doc.items() if k != "sigmoid"},
+        lambda doc: {**doc, "sigmoid": {k: v for k, v in doc["sigmoid"].items()
+                                        if k != "rss"}},
+        lambda doc: {**doc, "sigmoid": {**doc["sigmoid"], "delta": 0.0}},
+        lambda doc: {**doc, "sigmoid": {**doc["sigmoid"], "alpha": "1.2"}},
+        lambda doc: {**doc, "sigmoid": {**doc["sigmoid"], "n": 23.5}},
+    ], ids=["sigmoid-list", "no-sigmoid", "no-rss", "extra-key", "alpha-string",
+            "n-float"])
+    def test_malformed_fit_report(self, tmp_path, capsys, pipeline_out, edit):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "fit_report.json"
+        path.write_text(json.dumps(edit(json.loads(
+            (pipeline_out / path.name).read_text()))))
+        assert main(["theory", *_args(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "re-run fit" in err
+        assert "Traceback" not in err
+
+
+class TestHashSeed:
+    def test_tied_work_counts_give_one_bundle(self, tmp_path):
+        # Two topics with the same works count: under the two hash seeds
+        # below, their set order differs, and quality_matrix.csv must not.
+        set_up("demo", tmp_path)
+        path = tmp_path / "dataset.json"
+        doc = json.loads(path.read_text())
+        for topic in doc["topics"]:
+            if topic["name"] == "Malaria prevention":
+                topic["works_count"] = 48258  # as "Democratic elections"
+        path.write_text(json.dumps(doc))
+        code = (
+            "import refscale.cli\n"
+            f"assert refscale.cli.main({['verify', *PATHS]!r}) == 0\n"
+            f"assert refscale.cli.main({['report', *PATHS, '--min-n', '10']!r}) == 0\n"
+        )
+        bundles = []
+        for seed in ("1", "3"):
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                                  env={**_src_env(), "PYTHONHASHSEED": seed},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            bundles.append({p.name: p.read_bytes()
+                            for p in sorted((tmp_path / "out").iterdir())})
+        assert bundles[0] == bundles[1]
 
 class TestOnePass:
     LOADERS = ("ingest_dataset", "parse_corpus", "load_results", "_load_cells",

@@ -1,9 +1,14 @@
+import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from refscale.citations import ParsedReference
+from refscale.cli import _fmt
 from refscale.dataset import (
     Dataset,
     IngestError,
@@ -11,12 +16,13 @@ from refscale.dataset import (
     ObservationCell,
     RawGeneration,
     TopicSpec,
-    build_observations,
     cells_to_csv,
     dedup_cell,
     ingest_dataset,
+    load_cells,
     model_quality,
 )
+from refscale.pipeline import score_corpus
 from refscale.verification import FieldVerdict, RelevanceLabel, Status, VerificationResult
 
 
@@ -121,8 +127,7 @@ class TestSpecsValidation:
     def test_cell_invariant(self):
         for quality in (-0.01, 1.01):
             with pytest.raises(ValueError, match="quality out of range"):
-                ObservationCell(model="m", topic="t", n_analysed=5,
-                                authenticity_mean=0.5, relevance_mean=0.5,
+                ObservationCell(model="m", topic="t", log10_p=1.0, log10_s=2.0,
                                 quality=quality)
 
 
@@ -154,7 +159,7 @@ def _result(authenticity, status=Status.VERIFIED):
     )
 
 
-def _two_cell_dataset():
+def _two_cell_dataset(labels=None):
     models = {"m1": ModelSpec(name="m1", family="F", params=8.0,
                               architecture="dense")}
     topics = {"t1": TopicSpec(name="t1", group="G", specificity_level=1,
@@ -163,47 +168,51 @@ def _two_cell_dataset():
                               works_count=10)}
     gens = [RawGeneration(model="m1", topic="t1", raw_text="x (2000) y"),
             RawGeneration(model="m1", topic="t2", raw_text="x (2000) y")]
-    return Dataset(models=models, topics=topics, generations=gens)
+    return Dataset(models=models, topics=topics, generations=gens,
+                   relevance_labels=labels or {})
 
 
 class TestBuildObservations:
+    """Observation cells as `pipeline.score_corpus` builds them."""
+
     def test_quality_is_mean_of_products(self):
-        ds = _two_cell_dataset()
+        ds = _two_cell_dataset({("m1", "t1", 0): RelevanceLabel.YES,
+                                ("m1", "t1", 1): RelevanceLabel.PARTIAL})
         results = {("m1", "t1", 0): _result(0.8), ("m1", "t1", 1): _result(0.4)}
-        labels = {("m1", "t1", 0): RelevanceLabel.YES,
-                  ("m1", "t1", 1): RelevanceLabel.PARTIAL}
-        cells, omitted = build_observations(ds, results, relevance_labels=labels,
-                                            partial_weight=0.5)
+        cells, omitted = score_corpus(ds, results, partial_weight=0.5)
         assert omitted == [("m1", "t2")]
         (cell,) = cells
         assert cell.quality == pytest.approx((0.8 * 1.0 + 0.4 * 0.5) / 2)
-        assert cell.authenticity_mean == pytest.approx(0.6)
-        assert cell.relevance_mean == pytest.approx(0.75)
-        assert cell.n_analysed == 2
+        assert (cell.log10_p, cell.log10_s) == (math.log10(8.0), 2.0)
+
+    def test_axes_follow_moe_convention(self):
+        ds = _two_cell_dataset({("m1", "t1", 0): RelevanceLabel.YES})
+        ds.models["m1"] = ModelSpec(name="m1", family="F", params=39.0,
+                                    total_params=235.0, architecture="moe")
+        results = {("m1", "t1", 0): _result(0.8)}
+        for convention, params in (("total", 235.0), ("active", 39.0)):
+            (cell,), _ = score_corpus(ds, results, moe_convention=convention)
+            assert cell.log10_p == math.log10(params)
 
     def test_missing_label_names_reference(self):
         ds = _two_cell_dataset()
         results = {("m1", "t1", 3): _result(0.8)}
         with pytest.raises(ValueError, match=r"\(m1, t1, 3\)"):
-            build_observations(ds, results, relevance_labels={})
+            score_corpus(ds, results)
 
     def test_partial_weight_monotone(self):
-        ds = _two_cell_dataset()
+        ds = _two_cell_dataset({("m1", "t1", 0): RelevanceLabel.PARTIAL})
         results = {("m1", "t1", 0): _result(0.8)}
-        labels = {("m1", "t1", 0): RelevanceLabel.PARTIAL}
         qs = []
         for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-            cells, _ = build_observations(ds, results, relevance_labels=labels,
-                                          partial_weight=w)
+            cells, _ = score_corpus(ds, results, partial_weight=w)
             qs.append(cells[0].quality)
         assert qs == sorted(qs)
 
     def test_model_quality_unweighted_mean(self):
         cells = [
-            ObservationCell(model="m", topic="a", n_analysed=5, authenticity_mean=0.5,
-                            relevance_mean=1.0, quality=0.2),
-            ObservationCell(model="m", topic="b", n_analysed=5, authenticity_mean=0.5,
-                            relevance_mean=1.0, quality=0.6),
+            ObservationCell(model="m", topic="a", log10_p=1.0, log10_s=2.0, quality=0.2),
+            ObservationCell(model="m", topic="b", log10_p=1.0, log10_s=1.0, quality=0.6),
         ]
         assert model_quality(cells) == {"m": pytest.approx(0.4)}
 
@@ -211,14 +220,48 @@ class TestBuildObservations:
 class TestCellsCsv:
     def test_columns_and_logs(self, tmp_path):
         ds = _two_cell_dataset()
-        cells = [ObservationCell(model="m1", topic="t1", n_analysed=5,
-                                 authenticity_mean=0.5, relevance_mean=1.0,
-                                 quality=0.5)]
+        cells = [ObservationCell("m1", "t1", *ds.cell_axes("m1", "t1"), quality=0.5)]
         out = tmp_path / "cells.csv"
-        cells_to_csv(cells, ds, out)
+        cells_to_csv(cells, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "model,topic,log10_params,log10_works,quality"
         fields = lines[1].split(",")
         assert fields[0] == "m1"
         assert float(fields[2]) == pytest.approx(0.903089987)
         assert float(fields[3]) == pytest.approx(2.0)
+
+    def test_empty_axis_for_cell_off_the_fit(self, tmp_path):
+        ds = _two_cell_dataset()
+        ds.models["m1"].params = None
+        ds.topics["t1"].works_count = 0
+        assert ds.cell_axes("m1", "t1") == (None, None)
+        cells = [ObservationCell("m1", "t1", *ds.cell_axes("m1", "t1"), quality=0.5)]
+        cells_to_csv(cells, tmp_path / "cells.csv")
+        assert (tmp_path / "cells.csv").read_bytes().splitlines()[1] == b"m1,t1,,,0.5"
+
+
+# log10 of a positive finite double lies in about [-323.3, 308.3].
+_AXIS = st.one_of(st.none(), st.floats(min_value=-324, max_value=309))
+
+
+class TestCellsRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(ObservationCell, model=st.text(), topic=st.text(),
+                              log10_p=_AXIS, log10_s=_AXIS,
+                              quality=st.floats(min_value=0, max_value=1)),
+                    max_size=8))
+    def test_load_inverts_csv_at_ten_digits(self, cells):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "observations.csv"
+            cells_to_csv(cells, path)
+            with path.open(newline="") as handle:
+                written = [row[-1] for row in csv.reader(handle)][1:]
+            loaded = load_cells(path)
+
+        def rounded(x):
+            return None if x is None else float(f"{x:.10g}")
+
+        assert [(c.model, c.topic, c.log10_p, c.log10_s, c.quality) for c in loaded] == [
+            (c.model, c.topic, rounded(c.log10_p), rounded(c.log10_s), rounded(c.quality))
+            for c in cells]
+        assert [_fmt(c.quality) for c in loaded] == written

@@ -1,7 +1,9 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from refscale.citations import ParsedReference
 from refscale.openalex import ExternalWork
@@ -12,11 +14,14 @@ from refscale.verification import (
     FieldVerdict,
     RelevanceLabel,
     Status,
+    VerificationResult,
     authenticity_score,
     binary_title_match,
     classify_field,
     classify_status,
     relevance_value,
+    results_from_jsonl,
+    results_to_jsonl,
     verify_reference,
 )
 
@@ -215,3 +220,29 @@ class TestVerifyReference:
         assert res.status is Status.VERIFIED_WITH_ERROR
         assert res.verdicts["year"] is V.CONTRADICTION
         assert res.authenticity < 1.0
+
+
+_RESULTS = st.dictionaries(
+    st.tuples(st.text(), st.text(), st.integers(min_value=0, max_value=99)),
+    st.builds(
+        VerificationResult,
+        verdicts=st.fixed_dictionaries({k: st.sampled_from(FieldVerdict)
+                                        for k in FIELD_KINDS}),
+        authenticity=st.floats(min_value=0, max_value=1),
+        status=st.sampled_from(Status),
+        matched_candidate=st.none() | st.text(),
+        cited_by_count=st.none() | st.integers(min_value=0),
+    ),
+    max_size=8,
+)
+
+
+class TestResultsJsonl:
+    @settings(max_examples=100, deadline=None)
+    @given(_RESULTS, st.text(min_size=1))
+    def test_read_inverts_write(self, results, title):
+        refs = {key: _ref(title=title) for key in results}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "verification.jsonl"
+            results_to_jsonl(results, refs, path)
+            assert results_from_jsonl(path) == results

@@ -31,7 +31,7 @@ from .citations import load_stopwords
 from .dataset import (Dataset, IngestError, ObservationCell, build_record, cells_to_csv,
                       ingest_dataset, load_cells, model_quality)
 from .openalex import FixtureMiss, OpenAlexClient
-from .pipeline import FixtureMissBatch, parse_corpus, score_corpus, verify_corpus
+from .pipeline import FixtureMissBatch, group_cells, parse_corpus, score_corpus, verify_corpus
 from .verification import VerificationResult, results_from_jsonl, results_to_jsonl
 
 if TYPE_CHECKING:
@@ -74,9 +74,18 @@ class RunConfig:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, overridden by flags, checked field by field
+    against ``RunConfig``: a fault names the file and the key."""
     values: dict = {}
-    if getattr(args, "config", None):
-        values.update(json.loads(Path(args.config).read_text()))
+    where = getattr(args, "config", None)
+    if where:
+        try:
+            values = json.loads(Path(where).read_text())
+        except json.JSONDecodeError as err:
+            raise IngestError(f"{where}: invalid JSON: {err}") from err
+        if not isinstance(values, dict):
+            raise IngestError(f"{where}: expected a JSON object of config fields, "
+                              f"got a {type(values).__name__}")
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -86,7 +95,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     missing = [k for k in ("dataset", "fixtures", "output_dir") if not values.get(k)]
     if missing:
         raise UsageError(f"missing required config value(s): {', '.join(missing)}")
-    return RunConfig(**values)
+    return build_record(RunConfig, where or "flags", values)
 
 
 class UsageError(Exception):
@@ -116,42 +125,6 @@ def _fmt(x: float, digits: int = 10) -> str:
     return f"{x:.{digits}g}"
 
 
-# -- loaders of upstream artifacts ---------------------------------------------
-
-def _upstream(config: RunConfig, name: str) -> Path:
-    path = Path(config.output_dir) / name
-    if not path.exists():
-        raise UpstreamMissing(path)
-    return path
-
-
-def load_results(config: RunConfig) -> Dict[Tuple[str, str, int], VerificationResult]:
-    return results_from_jsonl(_upstream(config, "verification.jsonl"))
-
-
-def _load_cells(config: RunConfig) -> List[ObservationCell]:
-    cells = load_cells(_upstream(config, "observations.csv"))
-    missing_s = sorted({c.topic for c in cells if c.log10_s is None})
-    if missing_s:
-        raise IngestError("cells missing works count for topic(s): " + ", ".join(missing_s))
-    return cells
-
-
-def _load_fit(config: RunConfig) -> SigmoidFit:
-    from .stats import SigmoidFit
-
-    path = _upstream(config, "fit_report.json")
-    try:
-        return build_record(SigmoidFit, "sigmoid", json.loads(path.read_text())["sigmoid"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise IngestError(f"{path}: unreadable fit ({err!r}); re-run fit") from err
-
-
-class UpstreamMissing(Exception):
-    def __init__(self, path: Path):
-        super().__init__(f"missing upstream artifact: {path}")
-
-
 class RunContext:
     """One command's inputs. Each is loaded on first use, through its loader
     and that loader's checks, and then shared by every stage the command runs."""
@@ -159,21 +132,39 @@ class RunContext:
     def __init__(self, config: RunConfig):
         self.config = config
 
+    def _upstream(self, name: str) -> Path:
+        path = Path(self.config.output_dir) / name
+        if not path.exists():
+            raise IngestError(f"missing upstream artifact: {path}")
+        return path
+
     @cached_property
     def dataset(self) -> Dataset:
         return ingest_dataset(self.config.dataset)
 
     @cached_property
     def results(self) -> Dict[Tuple[str, str, int], VerificationResult]:
-        return load_results(self.config)
+        return results_from_jsonl(self._upstream("verification.jsonl"))
 
     @cached_property
     def cells(self) -> List[ObservationCell]:
-        return _load_cells(self.config)
+        cells = load_cells(self._upstream("observations.csv"))
+        missing_s = sorted({c.topic for c in cells if c.log10_s is None})
+        if missing_s:
+            raise IngestError("cells missing works count for topic(s): "
+                              + ", ".join(missing_s))
+        return cells
 
     @cached_property
     def fit(self) -> SigmoidFit:
-        return _load_fit(self.config)
+        from .stats import SigmoidFit
+
+        path = self._upstream("fit_report.json")
+        try:
+            return build_record(SigmoidFit, "sigmoid",
+                                json.loads(path.read_text())["sigmoid"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise IngestError(f"{path}: unreadable fit ({err!r}); re-run fit") from err
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -239,6 +230,9 @@ def cmd_score(ctx: RunContext) -> int:
     if omitted:
         write_json(out / "omitted_cells.json",
                    {"omitted": [list(c) for c in omitted]}, config)
+    else:
+        # An earlier run's list would sit beside this run's cells.
+        (out / "omitted_cells.json").unlink(missing_ok=True)
     print(f"scored {len(cells)} cells ({len(omitted)} omitted)")
     return EXIT_OK
 
@@ -249,6 +243,10 @@ def cmd_fit(ctx: RunContext) -> int:
     from . import stats, theory
 
     config, cells = ctx.config, ctx.cells
+    # The sweep's per-reference inputs; a missing label fails before any write.
+    sweep_cells = [c for c in group_cells(ctx.dataset, ctx.results,
+                                          config.moe_convention).values()
+                   if c.log10_p is not None and c.log10_s is not None]
     fitted = [c for c in cells if c.log10_p is not None]
     triples = [(c.log10_p, c.log10_s, c.quality) for c in fitted]
     sig = stats.fit_sigmoid(triples)
@@ -309,44 +307,17 @@ def cmd_fit(ctx: RunContext) -> int:
     write_csv(out / "sigmoid_curve.csv", ["z", "quality"],
               [(_fmt(z, 6), _fmt(float(stats.sigmoid(z)), 8)) for z in zs], config)
 
-    # Relevance-weight robustness sweep (needs per-reference scores).
-    sweep_rows = _sweep(ctx)
-    if sweep_rows is not None:
-        write_csv(out / "partial_weight_sweep.csv",
-                  ["partial_weight", "sigmoid_r2", "loglinear_r2",
-                   "rank_rho_vs_baseline"],
-                  [(_fmt(r["partial_weight"], 4), _fmt(r["sigmoid_r2"], 8),
-                    _fmt(r["loglinear_r2"], 8), _fmt(r["rank_rho_vs_baseline"], 8))
-                   for r in sweep_rows],
-                  config)
+    # Relevance-weight robustness sweep over the same cells, from their references.
+    sweep_rows = stats.partial_weight_sweep(sweep_cells, baseline=config.partial_weight)
+    write_csv(out / "partial_weight_sweep.csv",
+              ["partial_weight", "sigmoid_r2", "loglinear_r2", "rank_rho_vs_baseline"],
+              [(_fmt(r["partial_weight"], 4), _fmt(r["sigmoid_r2"], 8),
+                _fmt(r["loglinear_r2"], 8), _fmt(r["rank_rho_vs_baseline"], 8))
+               for r in sweep_rows],
+              config)
     print(f"sigmoid fit: alpha={sig.alpha:.3f} beta={sig.beta:.3f} "
           f"gamma={sig.gamma:.3f} r2={sig.r2:.3f} (n={sig.n})")
     return EXIT_OK
-
-
-def _sweep(ctx: RunContext):
-    from . import stats
-
-    config, dataset, results = ctx.config, ctx.dataset, ctx.results
-    # One entry per (model, topic), made on its first reference; None for a
-    # cell off the fit (no parameter count, or no works count).
-    by_cell: Dict[Tuple[str, str], Optional[stats.CellRefs]] = {}
-    for key, res in results.items():
-        label = dataset.relevance_labels.get(key)
-        if label is None:
-            return None
-        cell_key = key[:2]
-        if cell_key not in by_cell:
-            log10_p, log10_s = dataset.cell_axes(*cell_key, config.moe_convention)
-            by_cell[cell_key] = (stats.CellRefs(cell_key[0], log10_p, log10_s, [])
-                                 if log10_p is not None and log10_s is not None else None)
-        cell = by_cell[cell_key]
-        if cell is not None:
-            cell.refs.append((res.authenticity, label))
-    cells = [by_cell[k] for k in sorted(by_cell) if by_cell[k] is not None]
-    if len(cells) < 4:
-        return None
-    return stats.partial_weight_sweep(cells, baseline=config.partial_weight)
 
 
 def _ols_dict(fit) -> dict:
@@ -604,7 +575,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IngestError, UpstreamMissing, ValueError) as err:
+    except (FileNotFoundError, IngestError, ValueError) as err:
         # A missing input file is a data error; other I/O failures are the
         # fixture store's or the network's.
         print(f"error: {err}", file=sys.stderr)

@@ -5,19 +5,22 @@ aggregate into cells. The CLI's commands call these and write the results."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .citations import ParseFailure, ParsedReference, parse_apa, split_reference_list
 from .dataset import Dataset, ObservationCell, dedup_cell
 from .openalex import FixtureMiss, OpenAlexClient
-from .verification import RefKey, VerificationResult, relevance_value, verify_reference
+from .verification import (RefKey, RelevanceLabel, VerificationResult, relevance_value,
+                           verify_reference)
 
 __all__ = [
     "Accounting",
     "ParsedCorpus",
     "FixtureMissBatch",
+    "CellRefs",
     "parse_corpus",
     "verify_corpus",
+    "group_cells",
     "score_corpus",
 ]
 
@@ -42,6 +45,17 @@ class ParsedCorpus:
     refs: Dict[RefKey, ParsedReference]
     accounting: Accounting
     failures: List[dict] = field(default_factory=list)
+
+
+@dataclass
+class CellRefs:
+    """One cell's analysed references, as (authenticity, label) pairs, at the
+    cell's axes; an axis is None for a cell off the fit."""
+
+    model: str
+    log10_p: Optional[float]
+    log10_s: Optional[float]
+    refs: List[Tuple[float, RelevanceLabel]]
 
 
 class FixtureMissBatch(RuntimeError):
@@ -118,32 +132,43 @@ def verify_corpus(
     return results
 
 
-def score_corpus(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
-                 partial_weight: float = 0.50, moe_convention: str = "total"
-                 ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
-    """One cell per (model, topic) with analysed references, at the dataset's
-    ``cell_axes``. Quality is the mean of authenticity x relevance over the
-    cell's references, each of which needs a relevance label. Returns (cells,
-    omitted), where ``omitted`` lists the cells without references."""
+def group_cells(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
+                moe_convention: str = "total") -> Dict[Tuple[str, str], CellRefs]:
+    """The analysed references of each (model, topic) with any, in key order,
+    at the dataset's ``cell_axes``. Every reference needs a relevance label."""
     labels = dataset.relevance_labels
     missing = [key for key in results if key not in labels]
     if missing:
         ids = ", ".join(f"({m}, {t}, {i})" for m, t, i in sorted(missing)[:20])
         raise ValueError(f"missing relevance label for reference(s): {ids}")
 
-    products: Dict[Tuple[str, str], List[float]] = {}
-    for key, res in results.items():
-        rel = relevance_value(labels[key], partial_weight)
-        products.setdefault(key[:2], []).append(res.authenticity * rel)
+    cells: Dict[Tuple[str, str], CellRefs] = {}
+    for key in sorted(results):
+        cell = cells.get(key[:2])
+        if cell is None:
+            cell = cells[key[:2]] = CellRefs(
+                key[0], *dataset.cell_axes(*key[:2], moe_convention), [])
+        cell.refs.append((results[key].authenticity, labels[key]))
+    return cells
 
+
+def score_corpus(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
+                 partial_weight: float = 0.50, moe_convention: str = "total"
+                 ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
+    """One cell per (model, topic) with analysed references, from
+    ``group_cells``. Quality is the mean of authenticity x relevance over the
+    cell's references. Returns (cells, omitted), where ``omitted`` lists the
+    dataset's cells without references."""
+    grouped = group_cells(dataset, results, moe_convention)
     cells: List[ObservationCell] = []
     omitted: List[Tuple[str, str]] = []
     for model, topic in sorted({(g.model, g.topic) for g in dataset.generations}):
-        prods = products.get((model, topic))
-        if not prods:
+        group = grouped.get((model, topic))
+        if group is None:
             omitted.append((model, topic))
             continue
-        cells.append(ObservationCell(
-            model, topic, *dataset.cell_axes(model, topic, moe_convention),
-            quality=sum(prods) / len(prods)))
+        quality = sum(a * relevance_value(label, partial_weight)
+                      for a, label in group.refs) / len(group.refs)
+        cells.append(ObservationCell(model, topic, group.log10_p, group.log10_s,
+                                     quality=quality))
     return cells, omitted

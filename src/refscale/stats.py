@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .pipeline import CellRefs
 from .verification import RelevanceLabel, relevance_value
 
 __all__ = [
@@ -603,16 +604,6 @@ def weighted_loglog_fit(points, se) -> OlsFit:
 
 # -- relevance-weight robustness sweep ----------------------------------------
 
-@dataclass
-class CellRefs:
-    """Per-reference inputs for one cell, for quality recomputation."""
-
-    model: str
-    log10_p: float
-    log10_s: float
-    refs: List[Tuple[float, RelevanceLabel]]  # (authenticity, label)
-
-
 DEFAULT_SWEEP_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -622,7 +613,8 @@ def partial_weight_sweep(
     baseline: float = 0.50,
 ) -> List[dict]:
     """Recompute cell qualities at each PARTIAL weight and report fit quality
-    plus model-rank stability against the baseline weight.
+    plus model-rank stability against the baseline weight. Every cell must be
+    on the fit: both axes set.
 
     Each row holds the sigmoid fit r2, the two-predictor log-linear r2, and
     the Spearman rho of the model-level quality ranking against the baseline

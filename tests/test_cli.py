@@ -317,8 +317,10 @@ class TestHashSeed:
         assert bundles[0] == bundles[1]
 
 class TestOnePass:
-    LOADERS = ("ingest_dataset", "parse_corpus", "load_results", "_load_cells",
-               "_load_fit")
+    # The loaders RunContext calls. build_record reads fit_report.json's
+    # sigmoid, and the config, so its calls are counted per record type.
+    LOADERS = ("ingest_dataset", "parse_corpus", "results_from_jsonl", "load_cells",
+               "build_record")
 
     def test_report_loads_each_input_once(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -326,13 +328,15 @@ class TestOnePass:
         calls = Counter()
         for name in self.LOADERS:
             def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
-                calls[_name] += 1
+                calls[f"{_name}({args[0].__name__})" if _name == "build_record"
+                      else _name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
         assert main(["report", *_args(out), "--min-n", "10"]) == 0
         # No parse_corpus: scoring needs only the dataset and the results.
-        assert calls == {"ingest_dataset": 1, "load_results": 1,
-                         "_load_cells": 1, "_load_fit": 1}
+        assert calls == {"ingest_dataset": 1, "results_from_jsonl": 1,
+                         "load_cells": 1, "build_record(SigmoidFit)": 1,
+                         "build_record(RunConfig)": 1}
 
 
 class TestAtomicArtifacts:
@@ -367,6 +371,70 @@ class TestConfigFile:
         doc = json.loads((out_b / "ingest_report.json").read_text())
         assert doc["meta"]["seed"] == 5
         assert doc["n_models"] == 4
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object of config fields, got a list"),
+        ('{"datasett": "dataset.json"}', "unexpected keyword argument 'datasett'"),
+        ('{"seed": "3"}', "seed must be an integer, got '3'"),
+        ('{"offline": "yes"}', "offline must be true or false, got 'yes'"),
+        ('{"partial_weight": null}', "partial_weight must be a number, got None"),
+        ("{broken", "invalid JSON"),
+    ], ids=["list", "unknown-key", "seed-string", "offline-string",
+            "partial-weight-null", "not-json"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), *_args(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: " in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestStaleArtifacts:
+    """A rerun that writes less than an earlier run leaves no file of that run
+    beside its own, under its stamp."""
+
+    def _demo(self, tmp_path):
+        doc = json.loads(DEMO_DATASET.read_text())
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        return doc, ["--dataset", str(tmp_path / "dataset.json"),
+                     "--fixtures", str(DEMO_FIXTURES),
+                     "--output-dir", str(tmp_path / "out")]
+
+    def test_score_without_omitted_cells_removes_earlier_list(self, tmp_path, capsys):
+        doc, args = self._demo(tmp_path)
+        assert main(["verify", *args]) == 0
+        assert main(["score", *args]) == 0
+        omitted = tmp_path / "out" / "omitted_cells.json"
+        assert json.loads(omitted.read_text())["omitted"] == [
+            ["nano-1b", "Biometric voter registration"]]
+        doc["generations"] = [g for g in doc["generations"] if not g.get("refusal")]
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["score", *args]) == 0
+        assert "(0 omitted)" in capsys.readouterr().out
+        assert not omitted.exists()
+
+    def test_fit_with_missing_label_exits_2_before_writing(self, tmp_path, capsys):
+        doc, args = self._demo(tmp_path)
+        for command in ("verify", "score", "fit"):
+            assert main([command, *args]) == 0
+        out = tmp_path / "out"
+        last = json.loads((out / "verification.jsonl").read_text().splitlines()[-1])
+        key = (last["model"], last["topic"], last["index"])
+        doc["relevance_labels"] = [
+            r for r in doc["relevance_labels"]
+            if (r["model"], r["topic"], r["reference_index"]) != key]
+        (tmp_path / "dataset.json").write_text(json.dumps(doc))
+        before = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        capsys.readouterr()
+        assert main(["fit", *args, "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "missing relevance label for reference(s): ({}, {}, {})".format(*key) in err
+        assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == before
 
 
 class TestZipfCommand:

@@ -28,10 +28,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 # perfbench's tracer patches them, and never bound into this module's globals.
 from .atomic import atomic_write, atomic_write_jsonl
 from .citations import load_stopwords
-from .dataset import (Dataset, IngestError, ObservationCell, build_record, cells_to_csv,
-                      ingest_dataset, load_cells, model_quality)
+from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, load_cells,
+                      model_quality)
 from .openalex import FixtureMiss, OpenAlexClient
-from .pipeline import FixtureMissBatch, group_cells, parse_corpus, score_corpus, verify_corpus
+from .pipeline import (CellRefs, FixtureMissBatch, group_cells, parse_corpus, score_corpus,
+                       verify_corpus)
+from .records import IngestError, build_record
 from .verification import VerificationResult, results_from_jsonl, results_to_jsonl
 
 if TYPE_CHECKING:
@@ -147,6 +149,12 @@ class RunContext:
         return results_from_jsonl(self._upstream("verification.jsonl"))
 
     @cached_property
+    def grouped(self) -> Dict[Tuple[str, str], CellRefs]:
+        """The results grouped by cell, for scoring and the sweep; a missing
+        relevance label fails here."""
+        return group_cells(self.dataset, self.results, self.config.moe_convention)
+
+    @cached_property
     def cells(self) -> List[ObservationCell]:
         cells = load_cells(self._upstream("observations.csv"))
         missing_s = sorted({c.topic for c in cells if c.log10_s is None})
@@ -219,9 +227,8 @@ def _status_counts(results) -> Dict[str, int]:
 
 
 def cmd_score(ctx: RunContext) -> int:
-    config, results, dataset = ctx.config, ctx.results, ctx.dataset
-    cells, omitted = score_corpus(dataset, results, config.partial_weight,
-                                  config.moe_convention)
+    config = ctx.config
+    cells, omitted = score_corpus(ctx.dataset, ctx.grouped, config.partial_weight)
     out = Path(config.output_dir)
     cells_to_csv(cells, out / "observations.csv")
     mq = model_quality(cells)
@@ -244,8 +251,7 @@ def cmd_fit(ctx: RunContext) -> int:
 
     config, cells = ctx.config, ctx.cells
     # The sweep's per-reference inputs; a missing label fails before any write.
-    sweep_cells = [c for c in group_cells(ctx.dataset, ctx.results,
-                                          config.moe_convention).values()
+    sweep_cells = [c for c in ctx.grouped.values()
                    if c.log10_p is not None and c.log10_s is not None]
     fitted = [c for c in cells if c.log10_p is not None]
     triples = [(c.log10_p, c.log10_s, c.quality) for c in fitted]

@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .atomic import atomic_write
 from .citations import ParsedReference, normalize_title
+from .records import IngestError, build_record, check_type
 from .verification import RelevanceLabel
 
 __all__ = [
@@ -36,28 +37,6 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("dense", "dense-cot", "moe", "moe-cot", "unknown")
-
-
-class IngestError(ValueError):
-    """Malformed or referentially inconsistent dataset record."""
-
-
-# Accepted JSON types, and their description, for each field annotation of
-# the record dataclasses below. A bool is never a number.
-_FIELD_TYPES = {
-    "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
-    "bool": ((bool,), "true or false"),
-    "float": ((int, float), "a number"),
-    "Optional[str]": ((str, type(None)), "a string or null"),
-    "Optional[float]": ((int, float, type(None)), "a number or null"),
-}
-
-
-def _check_type(where: str, name: str, value, annotation: str) -> None:
-    kinds, text = _FIELD_TYPES[annotation]
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise IngestError(f"{where}: {name} must be {text}, got {value!r}")
 
 
 @dataclass
@@ -223,7 +202,7 @@ def ingest_dataset(path) -> Dataset:
             raise IngestError(f"{where}: unknown topic key {topic!r}")
         if "reference_index" not in rec:
             raise IngestError(f"{where}: missing field 'reference_index'")
-        _check_type(where, "reference_index", rec["reference_index"], "int")
+        check_type(where, "reference_index", rec["reference_index"], "int")
         try:
             label = RelevanceLabel(rec["label"])
         except (KeyError, ValueError) as err:
@@ -245,18 +224,6 @@ def _records(doc: dict, section: str) -> Iterable[Tuple[str, dict]]:
         if not isinstance(rec, dict):
             raise IngestError(f"{where}: expected an object, got {rec!r}")
         yield where, rec
-
-
-def build_record(cls, where: str, rec: dict):
-    """``cls(**rec)`` after checking each field's JSON type, with every fault
-    prefixed by the record's position."""
-    for f in fields(cls):
-        if f.name in rec:
-            _check_type(where, f.name, rec[f.name], f.type)
-    try:
-        return cls(**rec)
-    except (TypeError, IngestError) as err:
-        raise IngestError(f"{where}: {err}") from err
 
 
 def dedup_cell(refs: Sequence[ParsedReference]) -> List[ParsedReference]:

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .atomic import atomic_write
+from .records import build_record
 
 __all__ = [
     "ExternalWork",
@@ -39,8 +40,8 @@ class ExternalWork:
     """One bibliographic record as returned by the metadata service."""
 
     id: str
-    title: str
-    authors: List[str]
+    title: str = ""
+    authors: List[str] = field(default_factory=list)
     year: Optional[int] = None
     venue: Optional[str] = None
     doi: Optional[str] = None
@@ -51,29 +52,6 @@ class ExternalWork:
             raise ValueError("work id must be non-empty")
         if self.cited_by_count < 0:
             raise ValueError("cited_by_count must be non-negative")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExternalWork":
-        return cls(
-            id=obj["id"],
-            title=obj.get("title") or "",
-            authors=list(obj.get("authors", [])),
-            year=obj.get("year"),
-            venue=obj.get("venue"),
-            doi=obj.get("doi"),
-            cited_by_count=int(obj.get("cited_by_count", 0)),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "authors": self.authors,
-            "year": self.year,
-            "venue": self.venue,
-            "doi": self.doi,
-            "cited_by_count": self.cited_by_count,
-        }
 
 
 class FixtureMiss(LookupError):
@@ -327,20 +305,18 @@ class OpenAlexClient:
         body = self._fetch("works_count", {"search": phrase, "quoted": True})
         return int(body["count"])
 
-    def search_candidates(self, title: str, max_n: int = 25) -> List[ExternalWork]:
-        """The first ``max_n`` service-ranked candidate works for a claimed
-        title; lower-ranked results are not parsed."""
+    def search_candidates(self, title: str) -> List[ExternalWork]:
+        """The service's top-ranked candidate work for a claimed title, as a
+        list of at most one; lower-ranked results are not parsed."""
         if not title or not title.strip():
             raise ValueError("title must be non-empty")
-        if max_n <= 0:
-            return []
         params = {"title": title}
         body = self._fetch("works_search", params)
         results = body.get("results") if isinstance(body, dict) else None
         try:
             if not isinstance(results, list):
                 raise ValueError("works_search body has no 'results' list")
-            return [ExternalWork.from_json(w) for w in results[:max_n]]
-        except (KeyError, TypeError, ValueError) as err:
+            return [build_record(ExternalWork, "results[0]", top) for top in results[:1]]
+        except (TypeError, ValueError) as err:
             path = self.cache._path(request_fingerprint("works_search", params))
             raise IOError(f"corrupt fixture {path}: {type(err).__name__}: {err}") from err

@@ -107,10 +107,10 @@ def verify_corpus(
 ) -> Dict[RefKey, VerificationResult]:
     """Verify every analysed reference.
 
-    Only the top-ranked candidate is ever eligible (see ``match_work``), so
-    only it is requested. In offline mode, fixture misses are collected
-    across the whole corpus and raised as one batch so the operator sees
-    every missing fingerprint at once.
+    Only the top-ranked candidate is ever eligible (see ``match_work``), and
+    ``search_candidates`` returns only it. In offline mode, fixture misses are
+    collected across the whole corpus and raised as one batch so the operator
+    sees every missing fingerprint at once.
     """
     results: Dict[RefKey, VerificationResult] = {}
     misses: List[FixtureMiss] = []
@@ -118,7 +118,7 @@ def verify_corpus(
     for key in sorted(corpus.refs):
         ref = corpus.refs[key]
         try:
-            candidates = client.search_candidates(ref.title, max_n=1)
+            candidates = client.search_candidates(ref.title)
         except FixtureMiss as miss:
             if miss.fingerprint not in seen_fingerprints:
                 seen_fingerprints.add(miss.fingerprint)
@@ -152,14 +152,13 @@ def group_cells(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
     return cells
 
 
-def score_corpus(dataset: Dataset, results: Mapping[RefKey, VerificationResult],
-                 partial_weight: float = 0.50, moe_convention: str = "total"
+def score_corpus(dataset: Dataset, grouped: Mapping[Tuple[str, str], CellRefs],
+                 partial_weight: float = 0.50
                  ) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
-    """One cell per (model, topic) with analysed references, from
-    ``group_cells``. Quality is the mean of authenticity x relevance over the
-    cell's references. Returns (cells, omitted), where ``omitted`` lists the
-    dataset's cells without references."""
-    grouped = group_cells(dataset, results, moe_convention)
+    """One cell per (model, topic) with analysed references, from the
+    ``group_cells`` grouping. Quality is the mean of authenticity x relevance
+    over the cell's references. Returns (cells, omitted), where ``omitted``
+    lists the dataset's cells without references."""
     cells: List[ObservationCell] = []
     omitted: List[Tuple[str, str]] = []
     for model, topic in sorted({(g.model, g.topic) for g in dataset.generations}):

@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .atomic import atomic_write_jsonl
 from .citations import ParsedReference, content_word_overlap, normalize_title, surname_of
 from .openalex import ExternalWork
+from .records import IngestError, check_type
 
 __all__ = [
     "FieldVerdict",
@@ -85,6 +86,10 @@ class RelevanceLabel(Enum):
 _VERDICTS = {v.value: v for v in FieldVerdict}
 _STATUSES = {s.value: s for s in Status}
 _FIELD_KIND_SET = frozenset(FIELD_KINDS)
+# The type of each scalar field of a verification.jsonl line.
+_LINE_FIELDS = (("model", "str"), ("topic", "str"), ("index", "int"),
+                ("authenticity", "float"), ("matched_candidate", "Optional[str]"),
+                ("cited_by_count", "Optional[int]"))
 
 
 @dataclass
@@ -122,13 +127,13 @@ def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
     """Read ``verification.jsonl`` back, keyed by (model, topic, index). A line
     that is not JSON, lacks a key, or has a field of the wrong type or outside
     its values raises IngestError naming the file and the line."""
-    from .dataset import IngestError  # dataset imports this module
-
     path = Path(path)
     results: Dict[RefKey, VerificationResult] = {}
     for n, line in enumerate(path.read_text().splitlines(), 1):
         try:
             rec = json.loads(line)
+            for name, annotation in _LINE_FIELDS:
+                check_type("record", name, rec[name], annotation)
             raw = rec["verdicts"]
             if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
                 raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
@@ -139,17 +144,9 @@ def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
             status = rec["status"]
             if not isinstance(status, str) or status not in _STATUSES:
                 raise ValueError(f"status: unknown value {status!r}")
-            authenticity = rec["authenticity"]
-            if isinstance(authenticity, bool) or not isinstance(authenticity, (int, float)):
-                raise ValueError(f"authenticity must be a number, got {authenticity!r}")
-            matched = rec["matched_candidate"]
-            if matched is not None and not isinstance(matched, str):
-                raise ValueError(f"matched_candidate must be a string or null, got {matched!r}")
-            cited = rec["cited_by_count"]
-            if cited is not None and (isinstance(cited, bool) or not isinstance(cited, int)):
-                raise ValueError(f"cited_by_count must be an integer or null, got {cited!r}")
             results[(rec["model"], rec["topic"], rec["index"])] = VerificationResult(
-                verdicts, authenticity, _STATUSES[status], matched, cited)
+                verdicts, rec["authenticity"], _STATUSES[status],
+                rec["matched_candidate"], rec["cited_by_count"])
         except (KeyError, TypeError, ValueError) as err:
             raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
                               "re-run verify") from err

@@ -257,7 +257,7 @@ def content_word_overlap(a: str, b: str, stopwords) -> float:
     return len(wa & wb) / len(wa)
 
 
-def search_candidates(fixtures, title: str, max_n: int = 25):
+def search_candidates(fixtures, title: str):
     """Every parsed candidate, with the fixture read from disk on each call."""
     params = {"title": title}
     fp = request_fingerprint("works_search", params)
@@ -265,7 +265,7 @@ def search_candidates(fixtures, title: str, max_n: int = 25):
     if not path.exists():
         raise FixtureMiss(fp, "works_search", params)
     body = json.loads(path.read_text())["body"]
-    return [ExternalWork.from_json(w) for w in body["results"][:max_n]]
+    return [ExternalWork(**w) for w in body["results"]]
 
 
 def match_work(claimed_title, candidates, stopwords, threshold=0.5):

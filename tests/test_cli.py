@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pkgutil
 import shutil
 import stat
 import subprocess
@@ -10,7 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from refscale import cli
+import refscale
+from refscale import cli, pipeline
 from refscale.cli import main
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
@@ -20,6 +22,12 @@ from test_golden import PATHS, set_up
 def _args(out, *extra):
     return ["--dataset", str(DEMO_DATASET), "--fixtures", str(DEMO_FIXTURES),
             "--output-dir", str(out), *extra]
+
+
+def _top_with(**fields):
+    """A fixture corruption that sets fields of the entry's top-ranked result."""
+    return lambda entry: json.dumps({**entry, "body": {"results": [
+        {**entry["body"]["results"][0], **fields}]}})
 
 
 @pytest.fixture(scope="module")
@@ -147,14 +155,27 @@ class TestExitCodes:
         lambda entry: json.dumps({k: v for k, v in entry.items() if k != "body"}),
         lambda entry: json.dumps({**entry, "body": {}}),
         lambda entry: json.dumps({**entry, "body": {"results": [{"title": "x"}]}}),
-    ], ids=["truncated", "no-body", "no-results", "top-result-without-id"])
+        _top_with(title=5),
+        _top_with(authors=[1, 2]),
+        _top_with(authors="Okafor, M."),
+        _top_with(year="n.d."),
+        _top_with(cited_by_count=663.9),
+        _top_with(cited_by_count=True),
+        _top_with(cited_by_count="663"),
+        _top_with(venue=7),
+        _top_with(doi=["x"]),
+    ], ids=["truncated", "no-body", "no-results", "top-result-without-id",
+            "title-number", "authors-numbers", "authors-string", "year-string",
+            "cited-by-count-float", "cited-by-count-bool", "cited-by-count-string",
+            "venue-number", "doi-list"])
     def test_corrupt_fixture_exit_code(self, tmp_path, capsys, corrupt):
         fixtures = tmp_path / "fixtures"
         shutil.copytree(DEMO_FIXTURES, fixtures)
-        path = next(p for p in sorted(fixtures.glob("*.json"))
-                    if json.loads(p.read_text())["request"]["endpoint"]
-                    == "works_search")
-        path.write_text(corrupt(json.loads(path.read_text())))
+        path, entry = next((p, e) for p in sorted(fixtures.glob("*.json"))
+                           for e in [json.loads(p.read_text())]
+                           if e["request"]["endpoint"] == "works_search"
+                           and e["body"]["results"])
+        path.write_text(corrupt(entry))
         code = main(["verify", "--dataset", str(DEMO_DATASET),
                      "--fixtures", str(fixtures),
                      "--output-dir", str(tmp_path / "out")])
@@ -162,6 +183,7 @@ class TestExitCodes:
         assert code == 3
         assert path.name in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "verification.jsonl").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [doc], "expected a JSON object with models, topics and "
@@ -213,9 +235,15 @@ class TestExitCodes:
          "cited_by_count must be an integer or null, got '12'"),
         (lambda rec: {**rec, "matched_candidate": 7},
          "matched_candidate must be a string or null, got 7"),
+        (lambda rec: {**rec, "model": 5}, "model must be a string, got 5"),
+        (lambda rec: {**rec, "topic": None}, "topic must be a string, got None"),
+        (lambda rec: {**rec, "index": "0"}, "index must be an integer, got '0'"),
+        (lambda rec: {**rec, "index": 0.0}, "index must be an integer, got 0.0"),
+        (lambda rec: {**rec, "index": True}, "index must be an integer, got True"),
     ], ids=["no-cited-by-count", "malformed", "verdicts-null", "unknown-verdict",
             "unknown-status", "authenticity-string", "authenticity-bool",
-            "cited-by-count-string", "matched-candidate-number"])
+            "cited-by-count-string", "matched-candidate-number", "model-number",
+            "topic-null", "index-string", "index-float", "index-bool"])
     def test_unreadable_verification_record(self, tmp_path, capsys, edit, message):
         out = tmp_path / "out"
         assert main(["verify", *_args(out)]) == 0
@@ -320,7 +348,7 @@ class TestOnePass:
     # The loaders RunContext calls. build_record reads fit_report.json's
     # sigmoid, and the config, so its calls are counted per record type.
     LOADERS = ("ingest_dataset", "parse_corpus", "results_from_jsonl", "load_cells",
-               "build_record")
+               "build_record", "group_cells")
 
     def test_report_loads_each_input_once(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -332,11 +360,14 @@ class TestOnePass:
                       else _name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
+        # A grouping inside the pipeline module is counted too.
+        monkeypatch.setattr(pipeline, "group_cells", cli.group_cells)
         assert main(["report", *_args(out), "--min-n", "10"]) == 0
-        # No parse_corpus: scoring needs only the dataset and the results.
+        # No parse_corpus: scoring needs only the dataset and the results,
+        # grouped once for scoring and the sweep.
         assert calls == {"ingest_dataset": 1, "results_from_jsonl": 1,
                          "load_cells": 1, "build_record(SigmoidFit)": 1,
-                         "build_record(RunConfig)": 1}
+                         "build_record(RunConfig)": 1, "group_cells": 1}
 
 
 class TestAtomicArtifacts:
@@ -510,6 +541,31 @@ class TestZipfCommand:
 
 
 class TestStartup:
+    def test_each_module_imports_first_and_alone(self):
+        # An import cycle fails only when one of its modules is imported
+        # first, so each module gets a fresh interpreter. The record-type
+        # module is a leaf: nothing from refscale, nothing outside the
+        # standard library.
+        names = sorted(m.name for m in pkgutil.iter_modules(refscale.__path__))
+        assert "records" in names
+        for name in names:
+            code = (
+                "import sys\n"
+                "before = set(sys.modules)\n"
+                f"import refscale.{name}\n"
+                "new = set(sys.modules) - before\n"
+            )
+            if name == "records":
+                code += (
+                    "ours = {m for m in new if m.partition('.')[0] == 'refscale'}\n"
+                    "assert ours == {'refscale', 'refscale.records'}, ours\n"
+                    "other = {m.partition('.')[0] for m in new - ours}\n"
+                    "assert other <= sys.stdlib_module_names, other\n"
+                )
+            proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (name, proc.stderr)
+
     def test_verify_does_not_import_scipy(self, tmp_path):
         # No command loads scipy; it is a test dependency only.
         code = (

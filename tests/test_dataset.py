@@ -22,7 +22,7 @@ from refscale.dataset import (
     load_cells,
     model_quality,
 )
-from refscale.pipeline import score_corpus
+from refscale.pipeline import group_cells, score_corpus
 from refscale.verification import FieldVerdict, RelevanceLabel, Status, VerificationResult
 
 
@@ -179,7 +179,7 @@ class TestBuildObservations:
         ds = _two_cell_dataset({("m1", "t1", 0): RelevanceLabel.YES,
                                 ("m1", "t1", 1): RelevanceLabel.PARTIAL})
         results = {("m1", "t1", 0): _result(0.8), ("m1", "t1", 1): _result(0.4)}
-        cells, omitted = score_corpus(ds, results, partial_weight=0.5)
+        cells, omitted = score_corpus(ds, group_cells(ds, results), partial_weight=0.5)
         assert omitted == [("m1", "t2")]
         (cell,) = cells
         assert cell.quality == pytest.approx((0.8 * 1.0 + 0.4 * 0.5) / 2)
@@ -191,21 +191,21 @@ class TestBuildObservations:
                                     total_params=235.0, architecture="moe")
         results = {("m1", "t1", 0): _result(0.8)}
         for convention, params in (("total", 235.0), ("active", 39.0)):
-            (cell,), _ = score_corpus(ds, results, moe_convention=convention)
+            (cell,), _ = score_corpus(ds, group_cells(ds, results, convention))
             assert cell.log10_p == math.log10(params)
 
     def test_missing_label_names_reference(self):
         ds = _two_cell_dataset()
         results = {("m1", "t1", 3): _result(0.8)}
         with pytest.raises(ValueError, match=r"\(m1, t1, 3\)"):
-            score_corpus(ds, results)
+            score_corpus(ds, group_cells(ds, results))
 
     def test_partial_weight_monotone(self):
         ds = _two_cell_dataset({("m1", "t1", 0): RelevanceLabel.PARTIAL})
         results = {("m1", "t1", 0): _result(0.8)}
         qs = []
         for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-            cells, _ = score_corpus(ds, results, partial_weight=w)
+            cells, _ = score_corpus(ds, group_cells(ds, results), partial_weight=w)
             qs.append(cells[0].quality)
         assert qs == sorted(qs)
 

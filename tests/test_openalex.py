@@ -128,7 +128,7 @@ class TestClientOffline:
                      {"results": [work]})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
         (got,) = client.search_candidates("A study")
-        assert got == ExternalWork.from_json(work)
+        assert got == ExternalWork(**work)
         assert got.cited_by_count == 3
 
     def test_topic_works_count(self, tmp_path):
@@ -144,14 +144,6 @@ class TestClientOffline:
         with pytest.raises(ValueError):
             client.topic_works_count("")
 
-    def test_max_n_truncates(self, tmp_path):
-        works = [{"id": f"W{i}", "title": f"t{i}", "authors": []}
-                 for i in range(5)]
-        make_fixture(tmp_path, "works_search", {"title": "t"},
-                     {"results": works})
-        client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        assert len(client.search_candidates("t", max_n=2)) == 2
-
     def test_lower_ranks_beyond_max_n_not_parsed(self, tmp_path):
         works = [{"id": "W1", "title": "t", "authors": []},
                  {"id": "", "title": "t", "authors": []},
@@ -159,25 +151,24 @@ class TestClientOffline:
         make_fixture(tmp_path, "works_search", {"title": "t"},
                      {"results": works})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        assert [w.id for w in client.search_candidates("t", max_n=1)] == ["W1"]
-        with pytest.raises(IOError, match="work id must be non-empty"):
-            client.search_candidates("t")
+        assert [w.id for w in client.search_candidates("t")] == ["W1"]
 
     @pytest.mark.parametrize("body, message", [
         ({}, "no 'results' list"),
         ({"results": "W1"}, "no 'results' list"),
         ([], "no 'results' list"),
         (None, "no 'results' list"),
-        ({"results": ["W1"]}, "TypeError"),
-        ({"results": [{"title": "t"}]}, "KeyError: 'id'"),
-        ({"results": [{"id": "W1", "cited_by_count": "many"}]}, "ValueError"),
+        ({"results": ["W1"]}, "must be a mapping, not str"),
+        ({"results": [{"title": "t"}]}, "missing 1 required positional argument: 'id'"),
+        ({"results": [{"id": "W1", "cited_by_count": "many"}]},
+         "cited_by_count must be an integer, got 'many'"),
     ])
     def test_unreadable_body(self, tmp_path, body, message):
         make_fixture(tmp_path, "works_search", {"title": "t"}, body)
         fp = request_fingerprint("works_search", {"title": "t"})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
         with pytest.raises(IOError, match=f"corrupt fixture .*{fp}.json: .*{message}"):
-            client.search_candidates("t", max_n=1)
+            client.search_candidates("t")
 
 
 class TestLiveQueryShapes:
@@ -374,11 +365,6 @@ class TestMatchWork:
 
 
 class TestExternalWork:
-    def test_json_roundtrip(self):
-        work = ExternalWork(id="W1", title="T", authors=["A"], year=2000,
-                            venue="V", doi="10.1/x", cited_by_count=5)
-        assert ExternalWork.from_json(work.to_json()) == work
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExternalWork(id="", title="T", authors=[])

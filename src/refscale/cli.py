@@ -382,7 +382,7 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
     if window:
         profile = zipflaw.rolling_window_alpha(rf, window)
         write_csv(out / "zipf_rolling.csv", ["center_rank", "alpha_local"],
-                  [(_fmt(c, 8), _fmt(a, 8)) for c, a in profile], config)
+                  ((_fmt(c, 8), _fmt(a, 8)) for c, a in profile), config)
     else:
         # window is not a config field: an earlier run's profile would carry
         # this run's stamp.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +47,10 @@ def logit(q: float) -> float:
     return math.log(q / (1.0 - q))
 
 
+# A number that is NaN where undefined: a singular fit's standard errors.
+FloatOrNaN = float
+
+
 @dataclass
 class SigmoidFit:
     """quality = sigma(alpha*log10(P) + beta*log10(S) + gamma)."""
@@ -55,9 +58,9 @@ class SigmoidFit:
     alpha: float
     beta: float
     gamma: float
-    se_alpha: float
-    se_beta: float
-    se_gamma: float
+    se_alpha: FloatOrNaN
+    se_beta: FloatOrNaN
+    se_gamma: FloatOrNaN
     r2: float
     n: int
     converged: bool
@@ -296,7 +299,7 @@ def spearman(x, y) -> Tuple[float, float]:
     """Spearman rho with average-rank ties and a two-sided p-value.
 
     p uses the t-approximation for n >= 10 and the exact permutation
-    distribution below that.
+    distribution below that, counted without listing the n! orderings.
     """
     rho, rx, ry = _rho_and_ranks(x, y)
     n = len(rx)
@@ -368,28 +371,36 @@ def _t_two_sided(df: int, t: float) -> float:
     return term * total
 
 
-@lru_cache(maxsize=None)
-def _permutation_matrix(n: int) -> np.ndarray:
-    """All n! orderings of range(n), one per row (row order is irrelevant)."""
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(n):
-        perms = np.concatenate(
-            [np.insert(perms, j, k, axis=1) for j in range(k + 1)])
-    perms.flags.writeable = False
-    return perms
-
-
 def _exact_perm_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    # Centred average ranks are multiples of 0.5, so every dot product below
-    # is exact whatever the summation order, and the count matches a
-    # permutation-by-permutation loop.
+    """Share of the n! orderings of ry whose |rho| with rx reaches |rho_obs|.
+
+    Centred average ranks are multiples of 0.5, so a = 2 rxc and b = 2 ryc
+    are integers. counts[S, off + t] counts the ways to place the y positions
+    in the set S at the first |S| x positions with sum t of a_i b_perm(i);
+    off bounds |t|, so np.roll moves only zeros round the ends. Each total T
+    takes the loop's float test once, on T / 4, which is the loop's exact dot
+    product, so the share is the loop's.
+    """
     rxc = rx - rx.mean()
     denom = math.sqrt(float(rxc @ rxc))
     ryc = ry - ry.mean()
     sy = math.sqrt(float(ryc @ ryc))
     thresh = abs(rho_obs) - 1e-12
-    r = (ryc[_permutation_matrix(len(ryc))] @ rxc) / (denom * sy)
-    return int(np.count_nonzero(np.abs(r) >= thresh)) / len(r)
+    a, b = (2 * rxc).astype(np.int64), (2 * ryc).astype(np.int64)
+    n = len(a)
+    off = int(np.abs(a).sum() * np.abs(b).max())
+    counts = np.zeros((1 << n, 2 * off + 1), dtype=np.int64)
+    counts[0, off] = 1
+    sets = np.arange(1 << n)
+    size = sum((sets >> j) & 1 for j in range(n))
+    for k in range(1, n + 1):
+        layer = sets[size == k]
+        for j in range(n):
+            has_j = layer[(layer >> j) & 1 == 1]
+            counts[has_j] += np.roll(counts[has_j ^ (1 << j)], a[k - 1] * b[j], axis=1)
+    t = (np.arange(2 * off + 1) - off) / 4
+    reach = np.abs(t / (denom * sy)) >= thresh
+    return int(counts[-1, reach].sum()) / math.factorial(n)
 
 
 # -- agreement ----------------------------------------------------------------
@@ -440,8 +451,8 @@ def weighted_kappa_3level(table) -> float:
 # -- bootstrap ----------------------------------------------------------------
 
 # Index cells drawn per chunk. A bootstrap's working memory is two 8-byte
-# arrays of this many cells (16 MB), whatever resamples x n is.
-_BOOTSTRAP_CHUNK_CELLS = 1 << 20
+# arrays of this many cells (2 MB), whatever resamples x n is.
+_BOOTSTRAP_CHUNK_CELLS = 1 << 17
 
 
 def bootstrap_statistic(

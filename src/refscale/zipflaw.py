@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,20 +95,21 @@ def bootstrap_alpha_ci(
 
 
 # Rank windows are fitted a block of rows at a time. A block's temporaries are
-# a few (rows, window) arrays of this many cells (0.5 MB each), whatever
-# n x window is.
-_ROLLING_CHUNK_CELLS = 1 << 16
+# a few (rows, window) arrays of this many cells (128 kB each), whatever
+# n x window is. Each row's arithmetic is the same in any block.
+_ROLLING_CHUNK_CELLS = 1 << 14
 
 
 def rolling_window_alpha(
     rf: RankedFrequencies, window: int
-) -> List[Tuple[float, float]]:
+) -> Iterator[Tuple[float, float]]:
     """Local OLS exponent over each contiguous rank window, stepping by 1.
 
-    Returns (center rank, local alpha) pairs. Each alpha is the negated
-    closed-form OLS slope of log frequency on log rank over its window. Log
-    frequency is taken relative to the window's first value, so a window of
-    equal frequencies gives exactly 0.
+    Returns an iterator of (center rank, local alpha) pairs, made as they
+    are read. Each alpha is the negated closed-form OLS slope of log
+    frequency on log rank over its window. Log frequency is taken relative
+    to the window's first value, so a window of equal frequencies gives
+    exactly 0.
     """
     n = len(rf)
     if window < 3 or window > n:
@@ -127,7 +128,7 @@ def rolling_window_alpha(
     # The mean of ranks start+1 .. start+window, exact in floating point.
     centers = np.arange(windows) + (window + 1) / 2
     # 0.0 - (-0.0) is +0.0, so no profile row prints as -0.
-    return list(zip(centers.tolist(), (0.0 - slopes).tolist()))
+    return zip(centers, 0.0 - slopes)
 
 
 def sample_power_law(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -169,6 +170,18 @@ class TestExitCodes:
             "cited-by-count-float", "cited-by-count-bool", "cited-by-count-string",
             "venue-number", "doi-list"])
     def test_corrupt_fixture_exit_code(self, tmp_path, capsys, corrupt):
+        self._verify_with_corrupt_fixture(tmp_path, capsys, corrupt)
+
+    def test_top_result_not_an_object(self, tmp_path, capsys):
+        err = self._verify_with_corrupt_fixture(
+            tmp_path, capsys,
+            lambda entry: json.dumps({**entry, "body": {"results": ["identity"]}}))
+        assert "results[0]: must be an object, got str" in err
+
+    @staticmethod
+    def _verify_with_corrupt_fixture(tmp_path, capsys, corrupt) -> str:
+        """Run verify with the first non-empty works_search fixture rewritten
+        by ``corrupt``; check exit 3 naming that fixture and return stderr."""
         fixtures = tmp_path / "fixtures"
         shutil.copytree(DEMO_FIXTURES, fixtures)
         path, entry = next((p, e) for p in sorted(fixtures.glob("*.json"))
@@ -184,6 +197,7 @@ class TestExitCodes:
         assert path.name in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "verification.jsonl").exists()
+        return err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [doc], "expected a JSON object with models, topics and "
@@ -198,6 +212,12 @@ class TestExitCodes:
         (lambda doc: {**doc, "models": [{**doc["models"][0], "params": "seven"},
                                         *doc["models"][1:]]},
          "models[0]: params must be a number or null, got 'seven'"),
+        (lambda doc: {**doc, "models": [{**doc["models"][0], "params": math.nan},
+                                        *doc["models"][1:]]},
+         "models[0]: params must be a number or null, got nan"),
+        (lambda doc: {**doc, "models": [{**doc["models"][0], "params": math.inf},
+                                        *doc["models"][1:]]},
+         "models[0]: params must be a number or null, got inf"),
         (lambda doc: {**doc, "models": {}},
          "models: expected a list of records, got a dict"),
         (lambda doc: {**doc, "topics": [None]},
@@ -206,7 +226,8 @@ class TestExitCodes:
             {**doc["generations"][0], "model": ["nano-1b"]}]},
          "generations[0]: model must be a string, got ['nano-1b']"),
     ], ids=["top-level-list", "label-without-index", "label-index-string",
-            "params-string", "models-object", "topic-null", "model-list"])
+            "params-string", "params-nan", "params-infinity", "models-object",
+            "topic-null", "model-list"])
     def test_malformed_dataset(self, tmp_path, capsys, edit, message):
         path = tmp_path / "dataset.json"
         path.write_text(json.dumps(edit(json.loads(DEMO_DATASET.read_text()))))
@@ -231,6 +252,10 @@ class TestExitCodes:
          "authenticity must be a number, got '0.5'"),
         (lambda rec: {**rec, "authenticity": True},
          "authenticity must be a number, got True"),
+        (lambda rec: {**rec, "authenticity": math.nan},
+         "authenticity must be a number, got nan"),
+        (lambda rec: {**rec, "authenticity": -math.inf},
+         "authenticity must be a number, got -inf"),
         (lambda rec: {**rec, "cited_by_count": "12"},
          "cited_by_count must be an integer or null, got '12'"),
         (lambda rec: {**rec, "matched_candidate": 7},
@@ -242,6 +267,7 @@ class TestExitCodes:
         (lambda rec: {**rec, "index": True}, "index must be an integer, got True"),
     ], ids=["no-cited-by-count", "malformed", "verdicts-null", "unknown-verdict",
             "unknown-status", "authenticity-string", "authenticity-bool",
+            "authenticity-nan", "authenticity-infinity",
             "cited-by-count-string", "matched-candidate-number", "model-number",
             "topic-null", "index-string", "index-float", "index-bool"])
     def test_unreadable_verification_record(self, tmp_path, capsys, edit, message):
@@ -315,6 +341,16 @@ class TestExitCodes:
         assert str(path) in err
         assert "re-run fit" in err
         assert "Traceback" not in err
+
+    def test_fit_report_with_nan_standard_errors(self, tmp_path, pipeline_out):
+        # fit_sigmoid writes NaN standard errors where the covariance is
+        # singular; the report stays readable.
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = json.loads((pipeline_out / "fit_report.json").read_text())
+        doc["sigmoid"].update(se_alpha=math.nan, se_beta=math.nan, se_gamma=math.nan)
+        (out / "fit_report.json").write_text(json.dumps(doc))
+        assert main(["theory", *_args(out)]) == 0
 
 
 class TestHashSeed:

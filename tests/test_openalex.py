@@ -13,6 +13,7 @@ from refscale.openalex import (
     OpenAlexClient,
     request_fingerprint,
 )
+from refscale.records import IngestError, build_record
 from refscale.verification import match_work
 
 from conftest import make_fixture
@@ -32,6 +33,15 @@ class TestFingerprint:
     def test_distinct_requests_distinct_keys(self):
         assert (request_fingerprint("works_search", {"title": "x"})
                 != request_fingerprint("works_count", {"title": "x"}))
+
+
+class TestRecords:
+    def test_string_record_is_not_an_object(self):
+        # "identity" contains the field name "id", so indexing it would fail
+        # with a bare TypeError.
+        with pytest.raises(IngestError) as err:
+            build_record(ExternalWork, "results[0]", "identity")
+        assert str(err.value) == "results[0]: must be an object, got str"
 
 
 class TestCache:
@@ -158,7 +168,7 @@ class TestClientOffline:
         ({"results": "W1"}, "no 'results' list"),
         ([], "no 'results' list"),
         (None, "no 'results' list"),
-        ({"results": ["W1"]}, "must be a mapping, not str"),
+        ({"results": ["W1"]}, "must be an object, got str"),
         ({"results": [{"title": "t"}]}, "missing 1 required positional argument: 'id'"),
         ({"results": [{"id": "W1", "cited_by_count": "many"}]},
          "cited_by_count must be an integer, got 'many'"),

@@ -63,9 +63,24 @@ class TestSpearman:
 
     @settings(max_examples=3, deadline=None)
     @given(paired(9, 9).filter(non_constant))
+    @example(([3, 1, 4, 1.5, 5, 9, 2, 6, 8], [2, 7, 1, 8, 2.5, 8.5, 3, 0, 4]))
+    @example(([1, 1, 1, 2, 3, 4, 5, 5, 5], [6, 2, 2, 9, 4, 4, 4, 4, 1]))
+    @example(([0, 0, 0, 0, 0, 0, 0, 0, 1], [5, 3, 8, 1, 9, 2, 7, 4, 6]))
+    @example((list(range(9)), list(range(9))))  # rho = 1
+    @example((list(range(9)), list(range(9, 0, -1))))  # rho = -1
     def test_rho_and_exact_p_equal_loop_n9(self, pair):
         x, y = pair
         assert spearman(x, y) == oracles.spearman(x, y)
+
+    def test_exact_p_n9_peak_memory(self):
+        # Every value distinct gives the widest table of partial sums; a
+        # 9! x 9 float array of the orderings would take 29 MB.
+        x, y = np.arange(9.0), np.arange(9.0)[::-1]
+        tracemalloc.start()
+        spearman(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @settings(max_examples=30, deadline=None)
     @given(paired(10, 40).filter(non_constant))
@@ -212,7 +227,7 @@ class TestBootstrap:
             samples, 1.0, resamples, seed)
 
     def test_default_budget_with_ragged_last_chunk(self):
-        # 1000 resamples of 3000: blocks of 349, 349 and 302 rows.
+        # 1000 resamples of 3000: 23 blocks of 43 rows, then one of 11.
         samples = sample_power_law(1.23, 1.0, 3000, seed=4)
         ci = bootstrap_alpha_ci(samples, 1.0, resamples=1000, seed=5)
         assert (ci.lower, ci.upper) == oracles.bootstrap_alpha_ci(samples, 1.0, 1000, 5)
@@ -255,7 +270,7 @@ class TestRollingAlpha:
         counts, window = case
         rf = rank_frequencies(counts)
         with mock.patch.object(zipflaw, "_ROLLING_CHUNK_CELLS", cells):
-            got = rolling_window_alpha(rf, window)
+            got = list(rolling_window_alpha(rf, window))
         want = oracles.rolling_window_alpha(rf, window)
         assert [c for c, _ in got] == [c for c, _ in want]
         log_k, log_f = np.log(rf.ranks), np.log(rf.frequencies)
@@ -267,3 +282,11 @@ class TestRollingAlpha:
             elif not math.isclose(alpha, alpha_loop, rel_tol=1e-10):
                 exact = oracles.ols_slope_exact(log_k[sl], log_f[sl])
                 assert math.isclose(alpha, -exact, rel_tol=1e-12)
+
+    def test_profile_bits_do_not_depend_on_block_size(self):
+        # zipf_rolling.csv's bytes rest on it: one row per block gives the
+        # default blocks' floats.
+        rf = rank_frequencies(np.round(sample_power_law(1.3, 1.0, 3000, seed=2)))
+        default = list(rolling_window_alpha(rf, 50))
+        with mock.patch.object(zipflaw, "_ROLLING_CHUNK_CELLS", 1):
+            assert list(rolling_window_alpha(rf, 50)) == default

@@ -90,7 +90,7 @@ class TestRolling:
     def test_constant_exponent_profile(self):
         k = np.arange(1, 60)
         rf = RankedFrequencies(10.0 * k ** -1.5)
-        profile = rolling_window_alpha(rf, window=10)
+        profile = list(rolling_window_alpha(rf, window=10))
         assert len(profile) == 50
         for _, alpha in profile:
             assert alpha == pytest.approx(1.5, abs=1e-8)

@@ -60,9 +60,11 @@ class TestCommand:
         assert main(["verify", *args]) == 0
         assert main(["report", *args, "--min-n", "10"]) == 0
         assert (tmp_path / "out" / "citation_gradient.csv").exists()
+        report_path = tmp_path / "out" / "citetail_report.json"
+        meta = json.loads(report_path.read_text())["meta"]
         assert main(["report", *args, "--min-n", "1000"]) == 0
-        report = json.loads((tmp_path / "out" / "citetail_report.json").read_text())
-        assert "skipped" in report
+        assert json.loads(report_path.read_text()) == {
+            "skipped": "need at least 3 qualifying models, have 0", "meta": meta}
         assert not (tmp_path / "out" / "citation_gradient.csv").exists()
 
 

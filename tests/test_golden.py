@@ -39,7 +39,7 @@ PATHS = ["--dataset", "dataset.json", "--fixtures", "fixtures", "--output-dir", 
 SEEDS = {"panel9": 7, "ttail": 12}
 
 RUNS = {
-    "demo": [["verify"], ["score"], ["fit"], ["theory"],
+    "demo": [["ingest"], ["verify"], ["score"], ["fit"], ["theory"],
              ["citetail", "--min-n", "10"], ["report", "--min-n", "10"]],
     "panel9": [["verify"], ["report"],
                ["zipf", "--counts", "counts.csv", "--window", "50"]],

@@ -14,7 +14,8 @@ from . import stats  # traced functions are called through the module
 from .stats import BootstrapCI, OlsFit, weighted_loglog_fit
 from .verification import Status, VerificationResult
 
-__all__ = ["CitationSample", "GradientReport", "build_citation_samples", "citation_gradient"]
+__all__ = ["CitationSample", "GradientReport", "build_citation_samples", "citation_gradient",
+           "citetail_artifacts"]
 
 _INCLUDED_STATUSES = (Status.VERIFIED, Status.VERIFIED_WITH_ERROR)
 
@@ -115,6 +116,37 @@ def citation_gradient(
         included_models=sorted(s.model for s in qualifying),
         excluded_models=sorted(excluded),
     )
+
+
+def citetail_artifacts(results: Mapping[Tuple[str, str, int], VerificationResult],
+                       params_billions: Mapping[str, Optional[float]],
+                       min_n: int) -> Dict[str, object]:
+    """The citetail stage's artifacts by file name: the included models'
+    median citation counts with their CIs, and the gradient report. Raises
+    ValueError when fewer than 3 models qualify."""
+    samples = build_citation_samples(results)
+    report = citation_gradient(samples, params_billions, min_n=min_n)
+    accounting = {s.model: {"n_matched": len(s.matched),
+                            "n_excluded_status": s.n_excluded_status} for s in samples}
+    rows = []
+    for model in report.included_models:
+        ci = report.medians[model]
+        rows.append((model, f"{float(params_billions[model]):.8g}",
+                     accounting[model]["n_matched"],
+                     f"{ci.point:.8g}", f"{ci.lower:.8g}", f"{ci.upper:.8g}"))
+    return {
+        "citation_gradient.csv": (
+            ["model", "params_billions", "n_matched", "median", "ci_low", "ci_high"], rows),
+        "citetail_report.json": {
+            "weighted_fit": report.fit.as_dict(),
+            "spearman_rho": report.spearman_rho,
+            "spearman_p": report.spearman_p,
+            "included_models": report.included_models,
+            "excluded_models": report.excluded_models,
+            "min_n": min_n,
+            "accounting": accounting,
+        },
+    }
 
 
 _MIN_LOG_SE = 1e-6  # zero-width bootstrap CIs would give infinite weight

@@ -32,6 +32,7 @@ __all__ = [
     "ingest_dataset",
     "dedup_cell",
     "model_quality",
+    "quality_matrix",
     "cells_to_csv",
     "load_cells",
 ]
@@ -139,12 +140,6 @@ class Dataset:
         default_factory=dict
     )
 
-    def cell_counts(self) -> Dict[Tuple[str, str], int]:
-        counts: Dict[Tuple[str, str], int] = {}
-        for gen in self.generations:
-            counts[(gen.model, gen.topic)] = counts.get((gen.model, gen.topic), 0) + 1
-        return counts
-
     def cell_axes(self, model: str, topic: str, moe_convention: str = "total"
                   ) -> Tuple[Optional[float], Optional[float]]:
         """The cell's exact (log10 P, log10 S), P under ``moe_convention``;
@@ -250,6 +245,19 @@ def model_quality(cells: Iterable[ObservationCell]) -> Dict[str, float]:
     for cell in cells:
         sums.setdefault(cell.model, []).append(cell.quality)
     return {m: sum(v) / len(v) for m, v in sorted(sums.items())}
+
+
+def quality_matrix(cells: Sequence[ObservationCell]) -> Tuple[List[str], List[List[str]]]:
+    """The model x topic quality table as (header, rows): topics by works
+    count, largest first, and an empty field where the model has no cell."""
+    quality = {(c.model, c.topic): c.quality for c in cells}
+    log10_s = {c.topic: c.log10_s for c in cells}
+    # Name breaks ties, so the order does not follow the hash seed.
+    topics = sorted(log10_s, key=lambda t: (-log10_s[t], t))
+    return ["model"] + topics, [
+        [model] + [f"{quality[model, t]:.10g}" if (model, t) in quality else ""
+                   for t in topics]
+        for model in sorted({c.model for c in cells})]
 
 
 _CELL_COLUMNS = ["model", "topic", "log10_params", "log10_works", "quality"]

@@ -12,12 +12,12 @@ the fitted coefficients are only meaningful under that convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .stats import SigmoidFit, logit, sigmoid
+from .stats import SigmoidFit, classify_regime, logit, sigmoid  # classify_regime re-exported
 
 __all__ = [
     "TheoryExponents",
@@ -35,6 +35,7 @@ __all__ = [
     "content_sensitivity",
     "required_params",
     "required_content",
+    "theory_artifacts",
 ]
 
 
@@ -220,18 +221,6 @@ def efficiency(m: float, m_max: float) -> float:
     return m / m_max
 
 
-REGIME_CUTOFF = 2.0  # sigma(+-2) is within ~12% of the asymptotes
-
-
-def classify_regime(z: float) -> str:
-    """floor / ramp / ceiling by the linear predictor z."""
-    if z < -REGIME_CUTOFF:
-        return "floor"
-    if z > REGIME_CUTOFF:
-        return "ceiling"
-    return "ramp"
-
-
 def content_sensitivity(q: float, beta: float) -> float:
     """Effective content sensitivity beta * q * (1 - q): an inverted U in q."""
     if not 0.0 <= q <= 1.0:
@@ -264,3 +253,34 @@ def required_content(p: float, fit: SigmoidFit) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return -(fit.alpha * math.log10(p) + fit.gamma) / fit.beta
+
+
+def theory_artifacts(fit: SigmoidFit) -> Dict[str, object]:
+    """The theory stage's artifacts by file name: the report of the fit's
+    linearization, reference slopes and extrapolations, and the simulator
+    sweep of recall fraction and linked quality, for plotting."""
+    lin = linearize(fit)
+    slope_table = []
+    for alpha_z in (1.00, 1.23, 1.24):
+        m_max = round(reference_slope(alpha_z), 3)
+        slope_table.append({"alpha_z": alpha_z, "m_max": m_max,
+                            "efficiency_at_m": round(efficiency(lin.m, m_max), 4)})
+    exps = TheoryExponents(alpha_z=1.23).calibrated(100_000)
+    link = QualityLink(a=1.0, b=0.0)
+    rows = []
+    for log_p in np.linspace(0, 4, 17):
+        for log_s in (2.0, 4.0, 6.0):
+            _, q_frac = simulate_recall(SimConfig(
+                m=100_000, p=10 ** log_p, s=10 ** log_s, exponents=exps))
+            quality = quality_from_Q(q_frac, link) if q_frac > 0 else 0.0
+            rows.append((f"{log_p:.6g}", f"{log_s:.6g}", f"{q_frac:.8g}", f"{quality:.8g}"))
+    return {
+        "theory_report.json": {
+            "fit": asdict(fit),
+            "linearized": asdict(lin),
+            "reference_slopes": slope_table,
+            "required_params_q90_s32_billions": required_params(0.90, 32, fit),
+            "recall_threshold_log10_s_at_405b": required_content(405, fit),
+        },
+        "sim_sweep.csv": (["log10_P", "log10_S", "Q", "quality"], rows),
+    }

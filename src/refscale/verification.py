@@ -134,6 +134,8 @@ def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
             rec = json.loads(line)
             for name, annotation in _LINE_FIELDS:
                 check_type("record", name, rec[name], annotation)
+            if not 0.0 <= rec["authenticity"] <= 1.0:
+                raise ValueError(f"authenticity must be in [0, 1], got {rec['authenticity']!r}")
             raw = rec["verdicts"]
             if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
                 raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")

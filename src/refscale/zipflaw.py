@@ -1,19 +1,23 @@
-"""Power-law exponent estimation for rank-frequency data: log-log OLS, the
-continuous maximum-likelihood estimator, bootstrap confidence intervals, and
-rolling-window exponent profiles."""
+"""Power-law exponent estimation for rank-frequency data: the counts-file
+reader, log-log OLS, the continuous maximum-likelihood estimator, bootstrap
+confidence intervals, and rolling-window exponent profiles."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .records import IngestError
 from .stats import BootstrapCI, bootstrap_statistic, fit_ols
 
 __all__ = [
+    "read_counts",
+    "zipf_artifacts",
     "RankedFrequencies",
     "rank_frequencies",
     "fit_zipf_ols",
@@ -22,6 +26,39 @@ __all__ = [
     "rolling_window_alpha",
     "sample_power_law",
 ]
+
+
+def read_counts(path) -> List[float]:
+    """The counts of a (concept, count) CSV, in row order. Blank and ``#``
+    rows are skipped, and only the first row may be a header; any other row
+    without a finite positive count raises IngestError naming the line."""
+    counts: List[float] = []
+    n_rows = 0
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            n_rows += 1
+            if len(row) < 2:
+                raise IngestError(f"{path}: line {reader.line_num} has no "
+                                  f"count column: {','.join(row)!r}")
+            try:
+                count = float(row[1])
+            except ValueError:
+                if n_rows == 1:
+                    continue  # a header, allowed only as the first row
+                count = math.nan
+            if not 0 <= count < math.inf:
+                raise IngestError(f"{path}: line {reader.line_num} has no "
+                                  f"finite non-negative count: {row[1]!r}")
+            if count == 0:
+                raise IngestError(f"{path}: line {reader.line_num} has "
+                                  f"count {row[1]}; counts must be positive")
+            counts.append(count)
+    if not counts:
+        raise IngestError(f"{path}: no (concept, count) rows found")
+    return counts
 
 
 @dataclass
@@ -129,6 +166,31 @@ def rolling_window_alpha(
     centers = np.arange(windows) + (window + 1) / 2
     # 0.0 - (-0.0) is +0.0, so no profile row prints as -0.
     return zip(centers, 0.0 - slopes)
+
+
+REPORT_RESAMPLES = 1000
+
+
+def zipf_artifacts(counts: Sequence[float], window: int, seed: int) -> Dict[str, object]:
+    """The zipf stage's artifacts by file name: the exponents' report and,
+    with a ``window``, the rolling profile, its rows formatted as written."""
+    rf = rank_frequencies(counts)
+    alpha_ols, se, r2 = fit_zipf_ols(rf)
+    x_min = float(min(rf.frequencies))
+    alpha_mle = fit_zipf_mle(rf.frequencies, x_min)
+    ci = bootstrap_alpha_ci(rf.frequencies, x_min, resamples=REPORT_RESAMPLES, seed=seed)
+    profile = rolling_window_alpha(rf, window) if window else None
+    return {
+        "zipf_report.json": {
+            "alpha_ols": alpha_ols, "alpha_ols_se": se, "ols_r2": r2,
+            "alpha_mle": alpha_mle, "x_min": x_min,
+            "bootstrap_ci": [ci.lower, ci.upper], "resamples": REPORT_RESAMPLES,
+            "n": len(rf),
+        },
+        # Rows are formatted as the writer reads them, never held in a list.
+        "zipf_rolling.csv": None if profile is None else (
+            ["center_rank", "alpha_local"], ((f"{c:.8g}", f"{a:.8g}") for c, a in profile)),
+    }
 
 
 def sample_power_law(

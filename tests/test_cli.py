@@ -256,6 +256,10 @@ class TestExitCodes:
          "authenticity must be a number, got nan"),
         (lambda rec: {**rec, "authenticity": -math.inf},
          "authenticity must be a number, got -inf"),
+        (lambda rec: {**rec, "authenticity": 1.8},
+         "authenticity must be in [0, 1], got 1.8"),
+        (lambda rec: {**rec, "authenticity": -0.5},
+         "authenticity must be in [0, 1], got -0.5"),
         (lambda rec: {**rec, "cited_by_count": "12"},
          "cited_by_count must be an integer or null, got '12'"),
         (lambda rec: {**rec, "matched_candidate": 7},
@@ -267,7 +271,8 @@ class TestExitCodes:
         (lambda rec: {**rec, "index": True}, "index must be an integer, got True"),
     ], ids=["no-cited-by-count", "malformed", "verdicts-null", "unknown-verdict",
             "unknown-status", "authenticity-string", "authenticity-bool",
-            "authenticity-nan", "authenticity-infinity",
+            "authenticity-nan", "authenticity-infinity", "authenticity-above-1",
+            "authenticity-below-0",
             "cited-by-count-string", "matched-candidate-number", "model-number",
             "topic-null", "index-string", "index-float", "index-bool"])
     def test_unreadable_verification_record(self, tmp_path, capsys, edit, message):
@@ -447,8 +452,14 @@ class TestConfigFile:
         ('{"offline": "yes"}', "offline must be true or false, got 'yes'"),
         ('{"partial_weight": null}', "partial_weight must be a number, got None"),
         ("{broken", "invalid JSON"),
+        ('{"overlap_threshold": 2}', "overlap_threshold must be in [0, 1]"),
+        ('{"overlap_threshold": -0.1}', "overlap_threshold must be in [0, 1]"),
+        ('{"contradiction_penalty": 5}', "contradiction_penalty must be at most 0"),
+        ('{"seed": -1}', "seed must be at least 0"),
     ], ids=["list", "unknown-key", "seed-string", "offline-string",
-            "partial-weight-null", "not-json"])
+            "partial-weight-null", "not-json", "overlap-threshold-above-1",
+            "overlap-threshold-below-0", "contradiction-penalty-positive",
+            "seed-negative"])
     def test_malformed_config_file(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

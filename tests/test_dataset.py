@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refscale.citations import ParsedReference
-from refscale.cli import _fmt
 from refscale.dataset import (
     Dataset,
     IngestError,
@@ -264,4 +263,4 @@ class TestCellsRoundTrip:
         assert [(c.model, c.topic, c.log10_p, c.log10_s, c.quality) for c in loaded] == [
             (c.model, c.topic, rounded(c.log10_p), rounded(c.log10_s), rounded(c.quality))
             for c in cells]
-        assert [_fmt(c.quality) for c in loaded] == written
+        assert [f"{c.quality:.10g}" for c in loaded] == written

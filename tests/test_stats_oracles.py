@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracles
 from refscale import stats, zipflaw
-from refscale.cli import _fmt
 from refscale.stats import (
     CellRefs,
     bootstrap_median_ci,
@@ -278,7 +277,7 @@ class TestRollingAlpha:
             sl = slice(start, start + window)
             in_window = rf.frequencies[sl]
             if (in_window == in_window[0]).all():
-                assert alpha == 0.0 and _fmt(alpha, 8) == "0"
+                assert alpha == 0.0 and f"{alpha:.8g}" == "0"
             elif not math.isclose(alpha, alpha_loop, rel_tol=1e-10):
                 exact = oracles.ols_slope_exact(log_k[sl], log_f[sl])
                 assert math.isclose(alpha, -exact, rel_tol=1e-12)

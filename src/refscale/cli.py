@@ -31,7 +31,7 @@ from .atomic import atomic_write, atomic_write_jsonl
 from .citations import load_stopwords
 from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, load_cells,
                       model_quality, quality_matrix)
-from .openalex import FixtureMiss, OpenAlexClient
+from .openalex import OpenAlexClient
 from .pipeline import (CellRefs, FixtureMissBatch, group_cells, parse_corpus, score_corpus,
                        verify_corpus)
 from .records import IngestError, build_record
@@ -382,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # fixture store's or the network's.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (FixtureMissBatch, FixtureMiss, IOError) as err:
+    except (FixtureMissBatch, IOError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FIXTURE
 

@@ -60,6 +60,8 @@ class ModelSpec:
             raise IngestError(f"{self.name}: unknown architecture {self.architecture!r}")
         if self.params is not None and self.params <= 0:
             raise IngestError(f"{self.name}: params must be positive")
+        if self.total_params is not None and self.total_params <= 0:
+            raise IngestError(f"{self.name}: total_params must be positive")
         if self.total_params is not None and self.params is not None:
             if self.total_params < self.params:
                 raise IngestError(f"{self.name}: total_params < params")
@@ -108,6 +110,8 @@ class RawGeneration:
             raise IngestError(
                 f"({self.model}, {self.topic}): empty raw_text without refusal flag"
             )
+        if self.n_requested < 0:
+            raise IngestError(f"({self.model}, {self.topic}): n_requested must be non-negative")
 
 
 @dataclass
@@ -221,20 +225,19 @@ def _records(doc: dict, section: str) -> Iterable[Tuple[str, dict]]:
         yield where, rec
 
 
-def dedup_cell(refs: Sequence[ParsedReference]) -> List[ParsedReference]:
-    """Collapse normalized-title duplicates within one (model, topic) cell.
-
-    First occurrence wins; surviving records are returned unaltered. The
-    removal count is ``len(refs) - len(result)``. Idempotent.
+def dedup_cell(refs: Sequence[ParsedReference]) -> List[int]:
+    """Collapse normalized-title duplicates within one (model, topic) cell:
+    the positions in ``refs`` of each normalized title's first occurrence,
+    ascending. The removal count is ``len(refs) - len(result)``.
     """
     seen = set()
-    kept: List[ParsedReference] = []
-    for ref in refs:
+    kept: List[int] = []
+    for pos, ref in enumerate(refs):
         key = normalize_title(ref.title)
         if key in seen:
             continue
         seen.add(key)
-        kept.append(ref)
+        kept.append(pos)
     return kept
 
 

@@ -118,6 +118,8 @@ class FixtureCache:
 
 
 _TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
+_MAX_ATTEMPTS = 3
+_TIMEOUT_S = 30.0
 # A longer Retry-After (the daily quota, say) fails the request at once.
 _MAX_RETRY_AFTER_S = 60.0
 
@@ -192,15 +194,11 @@ class OpenAlexClient:
         fixtures: Path,
         offline: bool = True,
         rate_limit: float = 5.0,
-        max_attempts: int = 3,
         mailto: Optional[str] = None,
-        timeout: float = 30.0,
     ):
         self.cache = FixtureCache(Path(fixtures))
         self.offline = offline
         self.mailto = mailto
-        self.timeout = timeout
-        self.max_attempts = max_attempts
         self._limiter = _RateLimiter(rate_limit)
 
     # -- request plumbing ---------------------------------------------------
@@ -229,11 +227,11 @@ class OpenAlexClient:
         if self.mailto:
             query["mailto"] = self.mailto
         url = f"{API_BASE}/works?{urlencode(query)}"
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             self._limiter.wait()
             delay = 2.0 ** attempt
             try:
-                status, headers, body = _http_get(url, self.timeout)
+                status, headers, body = _http_get(url, _TIMEOUT_S)
             except OSError as err:
                 failure = f"{type(err).__name__}: {err}"
             else:
@@ -252,9 +250,9 @@ class OpenAlexClient:
                         raise IOError(f"HTTP {status} from {url}: server asks to "
                                       f"retry after {asked:.0f} s")
                     delay = asked
-            if attempt + 1 < self.max_attempts:
+            if attempt + 1 < _MAX_ATTEMPTS:
                 time.sleep(delay)
-        raise IOError(f"request failed after {self.max_attempts} attempts: {failure}")
+        raise IOError(f"request failed after {_MAX_ATTEMPTS} attempts: {failure}")
 
     @staticmethod
     def _live_query(endpoint: str, params: dict) -> dict:
@@ -275,7 +273,6 @@ class OpenAlexClient:
         works = []
         for item in payload.get("results", []):
             year = item.get("publication_year")
-            venue = None
             loc = item.get("primary_location") or {}
             src = loc.get("source") or {}
             venue = src.get("display_name")
@@ -305,9 +302,10 @@ class OpenAlexClient:
         body = self._fetch("works_count", {"search": phrase, "quoted": True})
         return int(body["count"])
 
-    def search_candidates(self, title: str) -> List[ExternalWork]:
-        """The service's top-ranked candidate work for a claimed title, as a
-        list of at most one; lower-ranked results are not parsed."""
+    def search_candidates(self, title: str) -> Optional[ExternalWork]:
+        """The service's top-ranked work for a claimed title, or None when
+        the search found nothing. A reference is matched against this work
+        only: lower ranks are never eligible, so they are not parsed."""
         if not title or not title.strip():
             raise ValueError("title must be non-empty")
         params = {"title": title}
@@ -316,7 +314,7 @@ class OpenAlexClient:
         try:
             if not isinstance(results, list):
                 raise ValueError("works_search body has no 'results' list")
-            return [build_record(ExternalWork, "results[0]", top) for top in results[:1]]
+            return build_record(ExternalWork, "results[0]", results[0]) if results else None
         except (TypeError, ValueError) as err:
             path = self.cache._path(request_fingerprint("works_search", params))
             raise IOError(f"corrupt fixture {path}: {type(err).__name__}: {err}") from err

@@ -89,10 +89,9 @@ def parse_corpus(dataset: Dataset) -> ParsedCorpus:
                 )
         acct.produced += len(parsed)
         kept = dedup_cell([r for _, r in parsed])
-        kept_ids = {id(r) for r in kept}
-        for idx, ref in parsed:
-            if id(ref) in kept_ids:
-                refs[(gen.model, gen.topic, idx)] = ref
+        for pos in kept:
+            idx, ref = parsed[pos]
+            refs[(gen.model, gen.topic, idx)] = ref
         acct.dedup_removed += len(parsed) - len(kept)
         acct.analysed += len(kept)
     return ParsedCorpus(refs=refs, accounting=acct, failures=failures)
@@ -105,30 +104,24 @@ def verify_corpus(
     overlap_threshold: float = 0.5,
     contradiction_penalty: float = -1.0,
 ) -> Dict[RefKey, VerificationResult]:
-    """Verify every analysed reference.
-
-    Only the top-ranked candidate is ever eligible (see ``match_work``), and
-    ``search_candidates`` returns only it. In offline mode, fixture misses are
-    collected across the whole corpus and raised as one batch so the operator
-    sees every missing fingerprint at once.
-    """
+    """Verify every analysed reference, in key order, against the top-ranked
+    work its title's search returns. In offline mode, fixture misses are
+    collected across the whole corpus, one per fingerprint in first-seen
+    order, and raised as one batch so the operator sees every one at once."""
     results: Dict[RefKey, VerificationResult] = {}
-    misses: List[FixtureMiss] = []
-    seen_fingerprints: Set[str] = set()
+    misses: Dict[str, FixtureMiss] = {}
     for key in sorted(corpus.refs):
         ref = corpus.refs[key]
         try:
-            candidates = client.search_candidates(ref.title)
+            work = client.search_candidates(ref.title)
         except FixtureMiss as miss:
-            if miss.fingerprint not in seen_fingerprints:
-                seen_fingerprints.add(miss.fingerprint)
-                misses.append(miss)
+            misses.setdefault(miss.fingerprint, miss)
             continue
         results[key] = verify_reference(
-            ref, candidates, stopwords, overlap_threshold, contradiction_penalty
+            ref, work, stopwords, overlap_threshold, contradiction_penalty
         )
     if misses:
-        raise FixtureMissBatch(misses)
+        raise FixtureMissBatch(list(misses.values()))
     return results
 
 

@@ -331,36 +331,31 @@ def classify_status(
 
 def match_work(
     claimed_title: str,
-    candidates: Sequence[ExternalWork],
+    work: Optional[ExternalWork],
     stopwords: Set[str],
     threshold: float = 0.5,
 ) -> Optional[ExternalWork]:
-    """Accept the top-ranked candidate iff its title's content-word overlap
-    with the claimed title meets the threshold; lower-ranked candidates are
-    never eligible."""
+    """``work``, the search's top-ranked work, iff its title's content-word
+    overlap with the claimed title meets the threshold; else None."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    if not candidates:
-        return None
-    top = candidates[0]
-    if content_word_overlap(claimed_title, top.title, stopwords) >= threshold:
-        return top
+    if work is not None and content_word_overlap(
+            claimed_title, work.title, stopwords) >= threshold:
+        return work
     return None
 
 
 def verify_reference(
     ref: ParsedReference,
-    candidates: Sequence[ExternalWork],
+    work: Optional[ExternalWork],
     stopwords: Set[str],
     overlap_threshold: float = 0.5,
     contradiction_penalty: float = -1.0,
 ) -> VerificationResult:
-    """Verify one parsed reference against ranked external candidates.
-
-    Only the top-ranked candidate is eligible; it is accepted when its
-    title's content-word overlap with the claimed title meets the threshold.
-    """
-    work = match_work(ref.title, candidates, stopwords, overlap_threshold)
+    """Verify one parsed reference against the search's top-ranked work.
+    Without a match, every claimed field is UNCONFIRMED and the status is
+    UNVERIFIED."""
+    matched = match_work(ref.title, work, stopwords, overlap_threshold)
     claimed = {
         "title": ref.title,
         "identifier": ref.identifier,
@@ -368,29 +363,18 @@ def verify_reference(
         "year": ref.year,
         "venue": ref.venue,
     }
-    if work is None:
-        verdicts = {
-            k: (FieldVerdict.ABSENT if claimed[k] in (None, "", []) else FieldVerdict.UNCONFIRMED)
-            for k in FIELD_KINDS
-        }
-        return VerificationResult(
-            verdicts=verdicts,
-            authenticity=authenticity_score(verdicts, contradiction_penalty),
-            status=Status.UNVERIFIED,
-            matched_candidate=None,
-        )
-    cand = {
-        "title": work.title,
-        "identifier": work.doi,
-        "authors": work.authors,
-        "year": work.year,
-        "venue": work.venue,
+    cand = {} if matched is None else {
+        "title": matched.title,
+        "identifier": matched.doi,
+        "authors": matched.authors,
+        "year": matched.year,
+        "venue": matched.venue,
     }
-    verdicts = {k: classify_field(k, claimed[k], cand[k]) for k in FIELD_KINDS}
+    verdicts = {k: classify_field(k, claimed[k], cand.get(k)) for k in FIELD_KINDS}
     return VerificationResult(
         verdicts=verdicts,
         authenticity=authenticity_score(verdicts, contradiction_penalty),
-        status=classify_status(verdicts, matched=True),
-        matched_candidate=work.id,
-        cited_by_count=work.cited_by_count,
+        status=classify_status(verdicts, matched=matched is not None),
+        matched_candidate=None if matched is None else matched.id,
+        cited_by_count=None if matched is None else matched.cited_by_count,
     )

@@ -225,9 +225,16 @@ class TestExitCodes:
         (lambda doc: {**doc, "generations": [
             {**doc["generations"][0], "model": ["nano-1b"]}]},
          "generations[0]: model must be a string, got ['nano-1b']"),
+        (lambda doc: {**doc, "generations": [
+            {**doc["generations"][0], "n_requested": -7}, *doc["generations"][1:]]},
+         "generations[0]: (nano-1b, Climate change): n_requested must be non-negative"),
+        (lambda doc: {**doc, "models": [
+            {"name": "nano-1b", "family": "Alpha", "architecture": "moe",
+             "total_params": -5}, *doc["models"][1:]]},
+         "models[0]: nano-1b: total_params must be positive"),
     ], ids=["top-level-list", "label-without-index", "label-index-string",
             "params-string", "params-nan", "params-infinity", "models-object",
-            "topic-null", "model-list"])
+            "topic-null", "model-list", "n-requested-negative", "total-params-negative"])
     def test_malformed_dataset(self, tmp_path, capsys, edit, message):
         path = tmp_path / "dataset.json"
         path.write_text(json.dumps(edit(json.loads(DEMO_DATASET.read_text()))))

@@ -19,6 +19,7 @@ is not empty.
 import contextlib
 import hashlib
 import importlib.util
+import io
 import os
 import shutil
 import json
@@ -141,6 +142,24 @@ def test_demo_reads_no_fixtures_after_verify(tmp_path):
     got = run_manifest("demo", tmp_path, drop_fixtures=True)
     expected = (GOLDEN / "demo.sha256").read_text()
     assert got.splitlines() == expected.splitlines()
+
+
+def test_demo_corpus_is_what_the_script_generates(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_demo_data", REPO / "scripts" / "make_demo_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        script.main()
+
+    def tree(root):
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    got, want = tree(tmp_path), tree(REPO / "data" / "demo")
+    assert sorted(got) == sorted(want)
+    assert sorted(name for name in want if got[name] != want[name]) == []
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ class TestClientOffline:
         make_fixture(tmp_path, "works_search", {"title": "A study"},
                      {"results": [work]})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        (got,) = client.search_candidates("A study")
+        got = client.search_candidates("A study")
         assert got == ExternalWork(**work)
         assert got.cited_by_count == 3
 
@@ -154,14 +154,19 @@ class TestClientOffline:
         with pytest.raises(ValueError):
             client.topic_works_count("")
 
-    def test_lower_ranks_beyond_max_n_not_parsed(self, tmp_path):
+    def test_lower_ranks_not_parsed(self, tmp_path):
         works = [{"id": "W1", "title": "t", "authors": []},
                  {"id": "", "title": "t", "authors": []},
                  {"id": "W3", "title": "t", "authors": [], "cited_by_count": -1}]
         make_fixture(tmp_path, "works_search", {"title": "t"},
                      {"results": works})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        assert [w.id for w in client.search_candidates("t")] == ["W1"]
+        assert client.search_candidates("t").id == "W1"
+
+    def test_no_results_is_none(self, tmp_path):
+        make_fixture(tmp_path, "works_search", {"title": "t"}, {"results": []})
+        client = OpenAlexClient(fixtures=tmp_path, offline=True)
+        assert client.search_candidates("t") is None
 
     @pytest.mark.parametrize("body, message", [
         ({}, "no 'results' list"),
@@ -244,13 +249,13 @@ class TestLiveFetch:
     def test_success_is_parsed_and_recorded(self, live, tmp_path):
         client, replies, calls, sleeps = live
         replies.append(self.ok())
-        works = client.search_candidates("A study")
-        assert [w.title for w in works] == ["A study"]
+        work = client.search_candidates("A study")
+        assert work.title == "A study"
         assert calls == ["https://api.openalex.org/works?search=A+study"
                          "&per-page=25&mailto=ops%40example.org"]
         assert sleeps == []
         offline = OpenAlexClient(fixtures=tmp_path, offline=True)
-        assert offline.search_candidates("A study") == works
+        assert offline.search_candidates("A study") == work
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
     def test_client_error_is_not_retried(self, live, status):
@@ -263,7 +268,7 @@ class TestLiveFetch:
     def test_transient_failures_back_off_then_succeed(self, live):
         client, replies, calls, sleeps = live
         replies += [(503, {}, b""), ConnectionResetError("reset"), self.ok()]
-        assert len(client.search_candidates("A study")) == 1
+        assert client.search_candidates("A study").title == "A study"
         assert len(calls) == 3 and sleeps == [1.0, 2.0]
 
     def test_no_sleep_after_the_last_attempt(self, live):
@@ -351,27 +356,26 @@ class TestRateLimiter:
 class TestMatchWork:
     def test_top_candidate_accepted(self, stopwords):
         top = ExternalWork(id="W1", title="solar adoption in kenya", authors=[])
-        got = match_work("Solar adoption in Kenya", [top], stopwords)
+        got = match_work("Solar adoption in Kenya", top, stopwords)
         assert got is top
 
-    def test_lower_ranked_never_eligible(self, stopwords):
+    def test_top_work_with_other_title_rejected(self, stopwords):
         top = ExternalWork(id="W1", title="completely different work", authors=[])
-        perfect = ExternalWork(id="W2", title="solar adoption in kenya", authors=[])
-        assert match_work("Solar adoption in Kenya", [top, perfect], stopwords) is None
+        assert match_work("Solar adoption in Kenya", top, stopwords) is None
 
     def test_threshold_boundary(self, stopwords):
         half = ExternalWork(id="W1", title="solar panels", authors=[])
-        assert match_work("solar adoption", [half], stopwords,
+        assert match_work("solar adoption", half, stopwords,
                           threshold=0.5) is half
-        assert match_work("solar adoption", [half], stopwords,
+        assert match_work("solar adoption", half, stopwords,
                           threshold=0.51) is None
 
     def test_empty_candidates(self, stopwords):
-        assert match_work("anything", [], stopwords) is None
+        assert match_work("anything", None, stopwords) is None
 
     def test_bad_threshold(self, stopwords):
         with pytest.raises(ValueError):
-            match_work("x", [], stopwords, threshold=1.5)
+            match_work("x", None, stopwords, threshold=1.5)
 
 
 class TestExternalWork:

@@ -197,26 +197,30 @@ def _ref(**over):
 
 class TestVerifyReference:
     def test_exact_match_verified(self, stopwords):
-        res = verify_reference(_ref(), [_work()], stopwords)
+        res = verify_reference(_ref(), _work(), stopwords)
         assert res.status is Status.VERIFIED
         assert res.matched_candidate == "W1"
         assert res.authenticity == pytest.approx(1.0)
         assert binary_title_match(res)
 
     def test_no_candidates_unverified(self, stopwords):
-        res = verify_reference(_ref(), [], stopwords)
+        res = verify_reference(_ref(venue=None), None, stopwords)
         assert res.status is Status.UNVERIFIED
-        assert res.matched_candidate is None
+        assert res.matched_candidate is None and res.cited_by_count is None
         assert res.authenticity == 0.0
+        assert res.verdicts == {"title": V.UNCONFIRMED, "identifier": V.UNCONFIRMED,
+                                "authors": V.UNCONFIRMED, "year": V.UNCONFIRMED,
+                                "venue": V.ABSENT}
         assert not binary_title_match(res)
 
-    def test_top_candidate_only(self, stopwords):
+    def test_unmatched_top_work_unverified(self, stopwords):
         wrong = _work(id="W9", title="Entirely unrelated study of oceans")
-        res = verify_reference(_ref(), [wrong, _work()], stopwords)
+        res = verify_reference(_ref(), wrong, stopwords)
         assert res.status is Status.UNVERIFIED
+        assert res.matched_candidate is None and res.cited_by_count is None
 
     def test_corrupted_year_flagged(self, stopwords):
-        res = verify_reference(_ref(year=2021), [_work()], stopwords)
+        res = verify_reference(_ref(year=2021), _work(), stopwords)
         assert res.status is Status.VERIFIED_WITH_ERROR
         assert res.verdicts["year"] is V.CONTRADICTION
         assert res.authenticity < 1.0

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Iterable
 
 
 def atomic_write(path, text: str) -> None:
@@ -25,10 +23,3 @@ def atomic_write(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def atomic_write_jsonl(path, records: Iterable[dict]) -> None:
-    """Replace ``path`` with one sorted-key JSON line per record (an empty
-    file for no records), through ``atomic_write``."""
-    atomic_write(path, "".join(json.dumps(rec, sort_keys=True) + "\n"
-                               for rec in records))

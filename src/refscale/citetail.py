@@ -14,10 +14,14 @@ from . import stats  # traced functions are called through the module
 from .stats import BootstrapCI, OlsFit, weighted_loglog_fit
 from .verification import Status, VerificationResult
 
-__all__ = ["CitationSample", "GradientReport", "build_citation_samples", "citation_gradient",
-           "citetail_artifacts"]
+__all__ = ["CitationSample", "GradientReport", "TooFewModels", "build_citation_samples",
+           "citation_gradient", "citetail_artifacts"]
 
 _INCLUDED_STATUSES = (Status.VERIFIED, Status.VERIFIED_WITH_ERROR)
+
+
+class TooFewModels(ValueError):
+    """Fewer than 3 models qualify for the gradient fit."""
 
 
 @dataclass
@@ -87,9 +91,7 @@ def citation_gradient(
         else:
             qualifying.append(sample)
     if len(qualifying) < 3:
-        raise ValueError(
-            f"need at least 3 qualifying models, have {len(qualifying)}"
-        )
+        raise TooFewModels(f"need at least 3 qualifying models, have {len(qualifying)}")
 
     medians: Dict[str, BootstrapCI] = {}
     points: List[Tuple[float, float]] = []
@@ -98,6 +100,9 @@ def citation_gradient(
     med_vals: List[float] = []
     for sample in sorted(qualifying, key=lambda s: s.model):
         ci = stats.bootstrap_median_ci(sample.counts)
+        if min(ci.point, ci.lower, ci.upper) <= 0:
+            raise ValueError(f"{sample.model}: citation medians must be positive for the "
+                             f"log fit, got {ci.point:g} (CI {ci.lower:g} to {ci.upper:g})")
         medians[sample.model] = ci
         p = float(params_billions[sample.model])
         se_log = _log10_se(ci)
@@ -123,7 +128,7 @@ def citetail_artifacts(results: Mapping[Tuple[str, str, int], VerificationResult
                        min_n: int) -> Dict[str, object]:
     """The citetail stage's artifacts by file name: the included models'
     median citation counts with their CIs, and the gradient report. Raises
-    ValueError when fewer than 3 models qualify."""
+    TooFewModels when fewer than 3 models qualify."""
     samples = build_citation_samples(results)
     report = citation_gradient(samples, params_billions, min_n=min_n)
     accounting = {s.model: {"n_matched": len(s.matched),
@@ -153,7 +158,5 @@ _MIN_LOG_SE = 1e-6  # zero-width bootstrap CIs would give infinite weight
 
 
 def _log10_se(ci: BootstrapCI) -> float:
-    if ci.point <= 0 or ci.lower <= 0 or ci.upper <= 0:
-        raise ValueError("citation medians must be positive for the log fit")
     width = math.log10(ci.upper) - math.log10(ci.lower)
     return max(width / (2.0 * 1.959963984540054), _MIN_LOG_SE)

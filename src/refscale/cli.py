@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 # imported by the commands that use them, so ingest, verify and score do not
 # load numpy. Their functions are called through the module, where
 # perfbench's tracer patches them, and never bound into this module's globals.
-from .atomic import atomic_write, atomic_write_jsonl
+from .atomic import atomic_write
 from .citations import load_stopwords
 from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, load_cells,
                       model_quality, quality_matrix)
@@ -106,13 +106,19 @@ class UsageError(Exception):
     pass
 
 
-# -- the stamped writer ---------------------------------------------------------
+# -- the one writer -------------------------------------------------------------
 
 def write_artifacts(config: RunConfig, artifacts: Dict[str, object]) -> None:
-    """Write a stage's artifacts, by file name, into the output directory, each
-    stamped with the config hash and seed: a dict as JSON under a "meta" key,
-    a (header, rows) pair as CSV under a "# config=... seed=..." line. None
-    removes the file: an artifact its stage did not produce this run would
+    """Write a stage's artifacts, by file name, into the output directory; the
+    only code that writes there. The content's type sets the format:
+
+    - a dict: JSON, stamped with the config hash and seed under a "meta" key;
+    - a (header, rows) tuple: CSV under a "# config=... seed=..." stamp line;
+    - a str: written as given, unstamped;
+    - any other iterable of dicts: one sorted-key JSON line per record,
+      unstamped.
+
+    None removes the file: an artifact its stage did not produce this run would
     otherwise sit beside this run's, and --window and --min-n, which decide
     some of them, are not in the stamp."""
     out = Path(config.output_dir)
@@ -123,7 +129,9 @@ def write_artifacts(config: RunConfig, artifacts: Dict[str, object]) -> None:
             meta = {"config_hash": config.hash(), "seed": config.seed}
             atomic_write(out / name, json.dumps({**content, "meta": meta},
                                                 indent=1, sort_keys=True) + "\n")
-        else:
+        elif isinstance(content, str):
+            atomic_write(out / name, content)
+        elif isinstance(content, tuple):
             header, rows = content
             buf = io.StringIO()
             buf.write(f"# config={config.hash()} seed={config.seed}\n")
@@ -131,6 +139,9 @@ def write_artifacts(config: RunConfig, artifacts: Dict[str, object]) -> None:
             writer.writerow(header)
             writer.writerows(rows)
             atomic_write(out / name, buf.getvalue())
+        else:
+            atomic_write(out / name, "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                             for rec in content))
 
 
 class RunContext:
@@ -210,11 +221,11 @@ def cmd_verify(ctx: RunContext) -> int:
     )
     acct = corpus.accounting
     status_counts = Counter(res.status.value for res in results.values())
-    out = Path(config.output_dir)
-    results_to_jsonl(results, corpus.refs, out / "verification.jsonl")
-    atomic_write_jsonl(out / "parse_failures.jsonl", corpus.failures)
-    write_artifacts(config, {"accounting.json": {
-        "accounting": asdict(acct), "status_counts": dict(sorted(status_counts.items()))}})
+    write_artifacts(config, {
+        "verification.jsonl": results_to_jsonl(results, corpus.refs),
+        "parse_failures.jsonl": corpus.failures,
+        "accounting.json": {"accounting": asdict(acct),
+                            "status_counts": dict(sorted(status_counts.items()))}})
     print(f"accounting: requested {acct.requested} / produced {acct.produced} "
           f"/ analysed {acct.analysed}")
     return EXIT_OK
@@ -223,13 +234,12 @@ def cmd_verify(ctx: RunContext) -> int:
 def cmd_score(ctx: RunContext) -> int:
     config = ctx.config
     cells, omitted = score_corpus(ctx.dataset, ctx.grouped, config.partial_weight)
-    artifacts = {
+    write_artifacts(config, {
+        "observations.csv": cells_to_csv(cells),
         "model_quality.csv": (["model", "quality"], [
             (m, f"{q:.10g}") for m, q in model_quality(cells).items()]),
         "omitted_cells.json": {"omitted": [list(c) for c in omitted]} if omitted else None,
-    }
-    cells_to_csv(cells, Path(config.output_dir) / "observations.csv")
-    write_artifacts(config, artifacts)
+    })
     print(f"scored {len(cells)} cells ({len(omitted)} omitted)")
     return EXIT_OK
 
@@ -285,6 +295,8 @@ def cmd_citetail(ctx: RunContext, min_n: int) -> int:
 
 
 def cmd_report(ctx: RunContext, min_n: int) -> int:
+    from . import citetail
+
     config = ctx.config
     # Each stage by its module-level name, which perfbench's tracer patches.
     cmd_score(ctx)
@@ -292,19 +304,19 @@ def cmd_report(ctx: RunContext, min_n: int) -> int:
     cmd_theory(ctx)
     try:
         cmd_citetail(ctx, min_n=min_n)
-    except ValueError as err:
+    except citetail.TooFewModels as err:
         write_artifacts(config, {"citation_gradient.csv": None,
                                  "citetail_report.json": {"skipped": str(err)}})
-    write_artifacts(config, {"quality_matrix.csv": quality_matrix(ctx.cells)})
-    out, sig = Path(config.output_dir), ctx.fit
-    summary = [
+    sig = ctx.fit
+    summary = "\n".join([
         f"run config hash: {config.hash()}  seed: {config.seed}",
-        f"artifacts in: {out}",
+        f"artifacts in: {Path(config.output_dir)}",
         f"sigmoid: alpha={sig.alpha:.3f} beta={sig.beta:.3f} "
         f"gamma={sig.gamma:.3f} r2={sig.r2:.3f} n={sig.n}",
-    ]
-    atomic_write(out / "summary.txt", "\n".join(summary) + "\n")
-    print("\n".join(summary))
+    ])
+    write_artifacts(config, {"quality_matrix.csv": quality_matrix(ctx.cells),
+                             "summary.txt": summary + "\n"})
+    print(summary)
     return EXIT_OK
 
 
@@ -362,6 +374,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args)
+        if getattr(args, "min_n", 2) < 2:
+            raise IngestError(f"--min-n {args.min_n} is below 2, the fewest "
+                              "references a median's bootstrap CI needs")
         ctx = RunContext(config)
         run = {
             "ingest": lambda: cmd_ingest(ctx),

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .atomic import atomic_write
 from .citations import ParsedReference, normalize_title
 from .records import IngestError, build_record, check_type
 from .verification import RelevanceLabel
@@ -266,8 +265,8 @@ def quality_matrix(cells: Sequence[ObservationCell]) -> Tuple[List[str], List[Li
 _CELL_COLUMNS = ["model", "topic", "log10_params", "log10_works", "quality"]
 
 
-def cells_to_csv(cells: Sequence[ObservationCell], path) -> None:
-    """Write ``observations.csv`` atomically, with the csv module's CRLF row
+def cells_to_csv(cells: Sequence[ObservationCell]) -> str:
+    """The text of ``observations.csv``, with the csv module's CRLF row
     endings: numbers at ``.10g``, an axis off the fit as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -277,7 +276,7 @@ def cells_to_csv(cells: Sequence[ObservationCell], path) -> None:
                          "" if cell.log10_p is None else f"{cell.log10_p:.10g}",
                          "" if cell.log10_s is None else f"{cell.log10_s:.10g}",
                          f"{cell.quality:.10g}"])
-    atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def load_cells(path) -> List[ObservationCell]:

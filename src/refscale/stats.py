@@ -31,7 +31,6 @@ __all__ = [
     "spearman",
     "cohen_kappa",
     "confusion_stats",
-    "weighted_kappa_3level",
     "bootstrap_median_ci",
     "bootstrap_statistic",
     "weighted_loglog_fit",
@@ -78,10 +77,6 @@ class SigmoidFit:
     def ses(self) -> np.ndarray:
         return np.array([self.se_alpha, self.se_beta, self.se_gamma])
 
-    def predict(self, log10_p, log10_s):
-        return sigmoid(self.alpha * np.asarray(log10_p)
-                       + self.beta * np.asarray(log10_s) + self.gamma)
-
 
 @dataclass
 class OlsFit:
@@ -90,10 +85,6 @@ class OlsFit:
     r2: float
     rss: float
     n: int
-
-    @property
-    def intercept(self) -> float:
-        return float(self.coefficients[0])
 
     @property
     def slopes(self) -> np.ndarray:
@@ -434,26 +425,6 @@ def cohen_kappa(cm: ConfusionMatrix2x2) -> float:
     if pe >= 1.0:
         raise ValueError("degenerate marginals: expected agreement is 1")
     return (po - pe) / (1.0 - pe)
-
-
-def weighted_kappa_3level(table) -> float:
-    """Linearly weighted kappa over the ordered scale NO < PARTIAL < YES."""
-    obs = np.asarray(table, dtype=float)
-    if obs.shape != (3, 3):
-        raise ValueError("expected a 3x3 table")
-    n = obs.sum()
-    if n <= 0:
-        raise ValueError("empty table")
-    idx = np.arange(3)
-    w = np.abs(idx[:, None] - idx[None, :]) / 2.0  # linear disagreement weights
-    row = obs.sum(axis=1) / n
-    col = obs.sum(axis=0) / n
-    expected = np.outer(row, col)
-    exp_dis = float((w * expected).sum())
-    if exp_dis == 0.0:
-        raise ValueError("degenerate marginals: no expected disagreement")
-    obs_dis = float((w * obs / n).sum())
-    return 1.0 - obs_dis / exp_dis
 
 
 # -- bootstrap ----------------------------------------------------------------

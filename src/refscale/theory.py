@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .stats import SigmoidFit, classify_regime, logit, sigmoid  # classify_regime re-exported
+from .stats import SigmoidFit, logit, sigmoid
 
 __all__ = [
     "TheoryExponents",
@@ -31,8 +31,6 @@ __all__ = [
     "linearize",
     "reference_slope",
     "efficiency",
-    "classify_regime",
-    "content_sensitivity",
     "required_params",
     "required_content",
     "theory_artifacts",
@@ -219,13 +217,6 @@ def efficiency(m: float, m_max: float) -> float:
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     return m / m_max
-
-
-def content_sensitivity(q: float, beta: float) -> float:
-    """Effective content sensitivity beta * q * (1 - q): an inverted U in q."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    return beta * q * (1.0 - q)
 
 
 def required_params(

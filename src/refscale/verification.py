@@ -13,9 +13,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .atomic import atomic_write_jsonl
 from .citations import ParsedReference, content_word_overlap, normalize_title, surname_of
 from .openalex import ExternalWork
 from .records import IngestError, check_type
@@ -33,7 +32,6 @@ __all__ = [
     "classify_field",
     "authenticity_score",
     "relevance_value",
-    "binary_title_match",
     "classify_status",
     "match_work",
     "verify_reference",
@@ -111,16 +109,16 @@ RefKey = Tuple[str, str, int]
 
 
 def results_to_jsonl(results: Mapping[RefKey, VerificationResult],
-                     refs: Mapping[RefKey, ParsedReference], path) -> None:
-    """Write ``verification.jsonl``: one line per result in key order, with
+                     refs: Mapping[RefKey, ParsedReference]) -> Iterator[dict]:
+    """The records of ``verification.jsonl``, one per result in key order, with
     the key, the reference's title and the result's fields."""
-    atomic_write_jsonl(path, (
+    return (
         {"model": m, "topic": t, "index": i, "title": refs[m, t, i].title,
          "verdicts": {k: v.value for k, v in res.verdicts.items()},
          "authenticity": res.authenticity, "status": res.status.value,
          "matched_candidate": res.matched_candidate,
          "cited_by_count": res.cited_by_count}
-        for (m, t, i), res in sorted(results.items())))
+        for (m, t, i), res in sorted(results.items()))
 
 
 def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
@@ -295,14 +293,6 @@ def relevance_value(label: RelevanceLabel, partial_weight: float = 0.50) -> floa
     if label is RelevanceLabel.NO:
         return 0.0
     return partial_weight
-
-
-def binary_title_match(result: VerificationResult) -> bool:
-    """True iff a candidate was matched and the title is an exact MATCH."""
-    return (
-        result.matched_candidate is not None
-        and result.verdicts.get("title") is FieldVerdict.MATCH
-    )
 
 
 def classify_status(

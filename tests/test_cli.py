@@ -522,6 +522,53 @@ class TestStaleArtifacts:
         assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == before
 
 
+class TestOneWriter:
+    def test_every_output_file_passes_through_write_artifacts(self, tmp_path, monkeypatch):
+        written = set()
+
+        def recording(config, artifacts, _real=cli.write_artifacts):
+            written.update(name for name, content in artifacts.items() if content is not None)
+            return _real(config, artifacts)
+
+        monkeypatch.setattr(cli, "write_artifacts", recording)
+        out = tmp_path / "out"
+        for command in ("verify", "score", "fit", "theory"):
+            assert main([command, *_args(out)]) == 0
+        for command in ("citetail", "report"):
+            assert main([command, *_args(out), "--min-n", "10"]) == 0
+        assert {p.name for p in out.iterdir()} == written
+
+
+class TestCitetailErrors:
+    def test_zero_median_fails_citetail_and_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        path = out / "verification.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in records:
+            if rec["model"] == "big-70b" and rec["cited_by_count"] is not None:
+                rec["cited_by_count"] = 0
+        path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+        capsys.readouterr()
+        for command in ("citetail", "report"):
+            assert main([command, *_args(out), "--min-n", "10"]) == 2
+            err = capsys.readouterr().err
+            assert "big-70b: citation medians must be positive for the log fit" in err
+            assert "Traceback" not in err
+        assert not (out / "citetail_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["citetail", "report"])
+    def test_min_n_below_2_exits_2_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        before = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        capsys.readouterr()
+        for min_n in ("1", "-3"):
+            assert main([command, *_args(out), "--min-n", min_n]) == 2
+            assert f"--min-n {min_n} is below 2" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == before
+
+
 class TestZipfCommand:
     def test_zipf_outputs(self, tmp_path):
         counts = tmp_path / "counts.csv"

@@ -215,26 +215,24 @@ class TestBuildObservations:
 
 
 class TestCellsCsv:
-    def test_columns_and_logs(self, tmp_path):
+    def test_columns_and_logs(self):
         ds = _two_cell_dataset()
         cells = [ObservationCell("m1", "t1", *ds.cell_axes("m1", "t1"), quality=0.5)]
-        out = tmp_path / "cells.csv"
-        cells_to_csv(cells, out)
-        lines = out.read_text().splitlines()
+        lines = cells_to_csv(cells).split("\r\n")
+        assert lines[2:] == [""]
         assert lines[0] == "model,topic,log10_params,log10_works,quality"
         fields = lines[1].split(",")
         assert fields[0] == "m1"
         assert float(fields[2]) == pytest.approx(0.903089987)
         assert float(fields[3]) == pytest.approx(2.0)
 
-    def test_empty_axis_for_cell_off_the_fit(self, tmp_path):
+    def test_empty_axis_for_cell_off_the_fit(self):
         ds = _two_cell_dataset()
         ds.models["m1"].params = None
         ds.topics["t1"].works_count = 0
         assert ds.cell_axes("m1", "t1") == (None, None)
         cells = [ObservationCell("m1", "t1", *ds.cell_axes("m1", "t1"), quality=0.5)]
-        cells_to_csv(cells, tmp_path / "cells.csv")
-        assert (tmp_path / "cells.csv").read_bytes().splitlines()[1] == b"m1,t1,,,0.5"
+        assert cells_to_csv(cells).split("\r\n")[1] == "m1,t1,,,0.5"
 
 
 # log10 of a positive finite double lies in about [-323.3, 308.3].
@@ -250,7 +248,7 @@ class TestCellsRoundTrip:
     def test_load_inverts_csv_at_ten_digits(self, cells):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "observations.csv"
-            cells_to_csv(cells, path)
+            path.write_text(cells_to_csv(cells), encoding="utf-8", newline="")
             with path.open(newline="") as handle:
                 written = [row[-1] for row in csv.reader(handle)][1:]
             loaded = load_cells(path)

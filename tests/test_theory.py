@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from refscale.stats import SigmoidFit, sigmoid
+from refscale.stats import SigmoidFit, classify_regime, sigmoid
 from refscale.theory import (
     QualityLink,
     SimConfig,
     TheoryExponents,
-    classify_regime,
-    content_sensitivity,
     efficiency,
     interference_floor,
     linearize,
@@ -141,14 +139,6 @@ class TestSlopesAndRegimes:
         assert classify_regime(0.0) == "ramp"
         assert classify_regime(2.0) == "ramp"
         assert classify_regime(2.5) == "ceiling"
-
-    def test_content_sensitivity_peaks_at_half(self):
-        beta = 0.46
-        assert content_sensitivity(0.5, beta) == pytest.approx(beta / 4)
-        assert content_sensitivity(0.1, beta) < content_sensitivity(0.5, beta)
-        assert content_sensitivity(0.0, beta) == 0.0
-        with pytest.raises(ValueError):
-            content_sensitivity(1.2, beta)
 
 
 class TestExtrapolation:

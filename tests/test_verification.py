@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refscale.citations import ParsedReference
+from refscale.cli import RunConfig, write_artifacts
 from refscale.openalex import ExternalWork
 from refscale.verification import (
     FIELD_KINDS,
@@ -16,7 +17,6 @@ from refscale.verification import (
     Status,
     VerificationResult,
     authenticity_score,
-    binary_title_match,
     classify_field,
     classify_status,
     relevance_value,
@@ -201,7 +201,7 @@ class TestVerifyReference:
         assert res.status is Status.VERIFIED
         assert res.matched_candidate == "W1"
         assert res.authenticity == pytest.approx(1.0)
-        assert binary_title_match(res)
+        assert res.verdicts["title"] is V.MATCH
 
     def test_no_candidates_unverified(self, stopwords):
         res = verify_reference(_ref(venue=None), None, stopwords)
@@ -211,7 +211,6 @@ class TestVerifyReference:
         assert res.verdicts == {"title": V.UNCONFIRMED, "identifier": V.UNCONFIRMED,
                                 "authors": V.UNCONFIRMED, "year": V.UNCONFIRMED,
                                 "venue": V.ABSENT}
-        assert not binary_title_match(res)
 
     def test_unmatched_top_work_unverified(self, stopwords):
         wrong = _work(id="W9", title="Entirely unrelated study of oceans")
@@ -247,6 +246,6 @@ class TestResultsJsonl:
     def test_read_inverts_write(self, results, title):
         refs = {key: _ref(title=title) for key in results}
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "verification.jsonl"
-            results_to_jsonl(results, refs, path)
-            assert results_from_jsonl(path) == results
+            write_artifacts(RunConfig("", "", tmp),
+                            {"verification.jsonl": results_to_jsonl(results, refs)})
+            assert results_from_jsonl(Path(tmp) / "verification.jsonl") == results

@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 __all__ = [
     "ParsedReference",

@@ -273,7 +273,11 @@ def cmd_zipf(config: RunConfig, counts_path: str, window: int) -> int:
 def cmd_theory(ctx: RunContext) -> int:
     from . import theory
 
-    artifacts = theory.theory_artifacts(ctx.fit)
+    try:
+        artifacts = theory.theory_artifacts(ctx.fit)
+    except ValueError as err:
+        # Every value the theory refuses comes from the fit it reads.
+        raise IngestError(f"{ctx._upstream('fit_report.json')}: {err}") from err
     write_artifacts(ctx.config, artifacts)
     print("theory: m={m:.3f} n={n:.3f} c={c:.4f}".format(
         **artifacts["theory_report.json"]["linearized"]))

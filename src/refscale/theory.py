@@ -1,9 +1,10 @@
 """The superposition signal-to-noise recall model: closed-form recall-
-fraction scaling, an explicit threshold simulator that serves as its
-brute-force oracle, random-vector interference estimation, the logistic
-quality link with its three regimes, tangent-line linearization,
-reference-slope/efficiency arithmetic, and the capacity extrapolation
-formulas.
+fraction scaling, a threshold simulator whose recalled prefix comes from a
+closed-form estimate confirmed by the threshold test (the brute-force scan
+it replaced is its oracle in ``tests/oracles.py``), random-vector
+interference estimation, the logistic quality link with its three regimes,
+tangent-line linearization, reference-slope/efficiency arithmetic, and the
+capacity extrapolation formulas.
 
 Unit contract: model parameter counts P are in decimal billions throughout;
 the fitted coefficients are only meaningful under that convention.
@@ -86,7 +87,7 @@ class TheoryExponents:
 
 @dataclass
 class SimConfig:
-    """Inputs to the explicit threshold scan."""
+    """Inputs to the threshold simulator."""
 
     m: int  # concept inventory size
     p: float  # parameters, billions
@@ -133,29 +134,35 @@ def recall_fraction(p: float, s: float, exps: TheoryExponents) -> float:
     return exps.q_scale * p ** exps.p_exponent() * s ** exps.s_exponent()
 
 
-_SCAN_CHUNK = 1 << 20
-
-
 def simulate_recall(cfg: SimConfig) -> Tuple[int, float]:
-    """Explicit threshold scan over the concept inventory.
+    """Threshold recall over the concept inventory.
 
     Concept k (rank-frequency f_k = c0 * S^delta * k^-alpha_z) is recalled
     when its signal f_k^beta_s exceeds the interference floor P^(-gamma_e/2).
-    The signal is decreasing in k, so recalled concepts form a prefix;
-    returns (k_star, Q = k_star / m).
+    The signal is decreasing in k, so recalled concepts form a prefix. Its
+    length k_star is estimated in closed form, in logs so that an extreme P
+    or exponent cannot overflow the estimate, and then confirmed by the
+    threshold test: k_star steps up while concept k_star + 1 passes and
+    down while concept k_star fails. ``tests/oracles.py`` keeps the scan of
+    every concept as this function's oracle. Returns (k_star, Q = k_star / m).
     """
     e = cfg.exponents
     floor = cfg.p ** (-e.gamma_e / 2.0)
     base = e.c0 * cfg.s ** e.delta
-    k_star = 0
-    for start in range(1, cfg.m + 1, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, cfg.m + 1)
-        k = np.arange(start, stop, dtype=float)
-        signal = (base * k ** (-e.alpha_z)) ** e.beta_s
-        hits = int(np.count_nonzero(signal > floor))
-        k_star += hits
-        if hits < stop - start:
-            break
+
+    def recalled(k: int) -> bool:
+        # The scan's expression through numpy's pow, whose last bit Python's
+        # ** does not always share.
+        signal = (base * np.array([k], dtype=float) ** (-e.alpha_z)) ** e.beta_s
+        return bool(signal[0] > floor)
+
+    log_k = (math.log(e.c0) + e.delta * math.log(cfg.s)
+             + e.gamma_e / (2.0 * e.beta_s) * math.log(cfg.p)) / e.alpha_z
+    k_star = min(int(math.exp(min(log_k, math.log(cfg.m + 1)))), cfg.m)
+    while k_star < cfg.m and recalled(k_star + 1):
+        k_star += 1
+    while k_star > 0 and not recalled(k_star):
+        k_star -= 1
     return k_star, k_star / cfg.m
 
 
@@ -195,7 +202,7 @@ def linearize(fit: SigmoidFit) -> LinearizedForm:
     """Tangent-line coefficients at the inflection (slope 1/4) and the
     ceiling-regime distortion exponents (factor 1/ln 10)."""
     if not fit.converged:
-        raise ValueError("fit did not converge")
+        raise ValueError("fit did not converge (converged is false)")
     return LinearizedForm(
         m=fit.alpha / 4.0,
         n=fit.beta / 4.0,
@@ -229,7 +236,7 @@ def required_params(
     if not 0.0 < quality_target < 1.0:
         raise ValueError("quality target must be strictly inside (0, 1)")
     if fit.alpha <= 0:
-        raise ValueError("requires a positive size slope")
+        raise ValueError(f"requires a positive size slope (alpha = {fit.alpha:g})")
     log10_p = (logit(quality_target) - fit.beta * math.log10(s) - fit.gamma) / fit.alpha
     return 10.0 ** log10_p
 
@@ -240,7 +247,7 @@ def required_content(p: float, fit: SigmoidFit) -> float:
     Delta log10(S) = -(alpha * log10(P) + gamma) / beta.
     """
     if fit.beta <= 0:
-        raise ValueError("requires a positive content slope")
+        raise ValueError(f"requires a positive content slope (beta = {fit.beta:g})")
     if p <= 0:
         raise ValueError("p must be positive")
     return -(fit.alpha * math.log10(p) + fit.gamma) / fit.beta

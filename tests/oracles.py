@@ -1,10 +1,11 @@
-"""Reference implementations that the statistics and verify hot paths
-replaced.
+"""Reference implementations that the statistics, theory and verify hot
+paths replaced.
 
 Each is the earlier code, kept verbatim where it can be, so that the faster
-versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.citations``
-and ``refscale.pipeline`` can be checked against it for exact equality.
-Two are declared exceptions, held to a stated error instead:
+versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.theory``,
+``refscale.citations`` and ``refscale.pipeline`` can be checked against it
+for exact equality.
+Three are declared exceptions, held to a stated error instead:
 
 - The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
   below, so it is checked against an enumeration of every resample for
@@ -182,6 +183,34 @@ def rolling_window_alpha(rf, window: int):
         center = float(ranks[sl].mean())
         out.append((center, -slope))
     return out
+
+
+# -- the threshold simulator, one scan of every concept -----------------------
+
+_SCAN_CHUNK = 1 << 20
+
+
+def simulate_recall_scan(cfg):
+    """Explicit threshold scan over the concept inventory.
+
+    Concept k (rank-frequency f_k = c0 * S^delta * k^-alpha_z) is recalled
+    when its signal f_k^beta_s exceeds the interference floor P^(-gamma_e/2).
+    The signal is decreasing in k, so recalled concepts form a prefix;
+    returns (k_star, Q = k_star / m).
+    """
+    e = cfg.exponents
+    floor = cfg.p ** (-e.gamma_e / 2.0)
+    base = e.c0 * cfg.s ** e.delta
+    k_star = 0
+    for start in range(1, cfg.m + 1, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, cfg.m + 1)
+        k = np.arange(start, stop, dtype=float)
+        signal = (base * k ** (-e.alpha_z)) ** e.beta_s
+        hits = int(np.count_nonzero(signal > floor))
+        k_star += hits
+        if hits < stop - start:
+            break
+    return k_star, k_star / cfg.m
 
 
 # -- the relevance-weight sweep, one np.mean per cell and weight -------------

@@ -46,6 +46,7 @@ from refscale.verification import (
 from refscale.zipflaw import bootstrap_alpha_ci, fit_zipf_mle, fit_zipf_ols, \
     rank_frequencies, sample_power_law
 
+import oracles
 from conftest import DEMO_DATASET, DEMO_FIXTURES
 
 # Published per-model quality for the 16 dense non-reasoning models:
@@ -209,8 +210,9 @@ def test_criterion_09_theory_oracle_equivalence():
                                     delta=d, c0=10.0).calibrated(m)
         for p in np.logspace(1, 3, 5):
             for s in np.logspace(1.5, 3.5, 5):
-                k_star, q_sim = simulate_recall(
-                    SimConfig(m=m, p=p, s=s, exponents=grid_exps))
+                cfg = SimConfig(m=m, p=p, s=s, exponents=grid_exps)
+                k_star, q_sim = oracles.simulate_recall_scan(cfg)
+                assert simulate_recall(cfg) == (k_star, q_sim)
                 assert 0 < k_star < m
                 gap = abs(q_sim - recall_fraction(p, s, grid_exps))
                 assert gap <= (1.0 / m) * (1.0 + 1e-9)

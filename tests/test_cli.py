@@ -8,12 +8,13 @@ import stat
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import refscale
-from refscale import cli, pipeline
+from refscale import cli, pipeline, stats
 from refscale.cli import main
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
@@ -363,6 +364,39 @@ class TestExitCodes:
         doc["sigmoid"].update(se_alpha=math.nan, se_beta=math.nan, se_gamma=math.nan)
         (out / "fit_report.json").write_text(json.dumps(doc))
         assert main(["theory", *_args(out)]) == 0
+
+
+class TestTheoryRefusals:
+    @pytest.mark.parametrize("field, value, message", [
+        ("converged", False, "fit did not converge (converged is false)"),
+        ("alpha", -0.5, "requires a positive size slope (alpha = -0.5)"),
+        ("beta", -0.25, "requires a positive content slope (beta = -0.25)"),
+    ])
+    def test_theory_names_fit_report_and_field(self, tmp_path, capsys, pipeline_out,
+                                               field, value, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "fit_report.json"
+        doc = json.loads((pipeline_out / path.name).read_text())
+        doc["sigmoid"][field] = value
+        path.write_text(json.dumps(doc))
+        assert main(["theory", *_args(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {message}" in err
+        assert "Traceback" not in err
+        assert not (out / "theory_report.json").exists()
+
+    def test_report_names_fit_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        real = stats.fit_sigmoid
+        monkeypatch.setattr(stats, "fit_sigmoid",
+                            lambda *a, **k: replace(real(*a, **k), converged=False))
+        capsys.readouterr()
+        assert main(["report", *_args(out), "--min-n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out / 'fit_report.json'}: fit did not converge" in err
+        assert "Traceback" not in err
 
 
 class TestHashSeed:

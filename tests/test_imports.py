@@ -1,0 +1,89 @@
+"""Every name a ``src/refscale`` module imports at top level is read by that
+module. A name counts as read where it is loaded, where it appears in an
+annotation (quoted ones included) and where ``__all__`` lists it; imports
+under ``if TYPE_CHECKING:`` and ``try:`` blocks are checked like any other.
+``from __future__`` imports bind nothing to read."""
+
+import ast
+import textwrap
+
+import pytest
+
+from conftest import REPO
+
+MODULES = sorted((REPO / "src" / "refscale").glob("*.py"))
+
+
+def _top_level_imports(body):
+    """(bound name, line) of each import outside every function and class."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, ast.If):
+            yield from _top_level_imports(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _top_level_imports(node.body + node.orelse + node.finalbody)
+            for handler in node.handlers:
+                yield from _top_level_imports(handler.body)
+
+
+def _names_read(tree):
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(elt.value for elt in node.value.elts)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    read = _names_read(tree)
+    return [(name, line) for name, line in _top_level_imports(tree.body)
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_top_level_import_is_read(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_only_unread_names():
+    source = textwrap.dedent('''
+        from __future__ import annotations
+        import os.path
+        import json as js
+        from typing import TYPE_CHECKING, Iterable, List, Optional
+        from dataclasses import dataclass, field
+        if TYPE_CHECKING:
+            from decimal import Decimal
+            from fractions import Fraction
+        try:
+            import zlib
+        except ImportError:
+            import gzip
+        __all__ = ["dataclass"]
+
+        def f(x: "Optional[Decimal]") -> List[int]:
+            n: int = 0
+            return [os.path.sep, js.dumps(x), n]
+        ''')
+    assert sorted(unused_imports(source)) == [
+        ("Fraction", 9), ("Iterable", 5), ("field", 6), ("gzip", 13), ("zlib", 11)]

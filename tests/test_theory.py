@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from refscale.stats import SigmoidFit, classify_regime, sigmoid
 from refscale.theory import (
     QualityLink,
@@ -61,13 +63,19 @@ class TestSimulator:
             assert q_sim == pytest.approx(recall_fraction(p, s, e), abs=1 / m)
 
     def test_chunked_scan_consistent(self):
-        # Inventory larger than one scan chunk still returns the same prefix.
+        # Inventories larger than the oracle's scan chunk: the prefix ends in
+        # the first chunk, in the second, and at m itself.
+        m = (1 << 20) + 100
         e = TheoryExponents(alpha_z=1.5, c0=100.0)
-        big = simulate_recall(SimConfig(m=(1 << 20) + 100, p=100.0, s=100.0,
-                                        exponents=e))
-        small = simulate_recall(SimConfig(m=1 << 20, p=100.0, s=100.0,
-                                          exponents=e))
-        assert big[0] == small[0]
+        # f_k = 1e4 * k^-1.5 meets the floor p^-0.5 at k = (1e8 p)^(1/3).
+        for p, in_first_chunk in [(100.0, True), (((1 << 20) + 50) ** 3 / 1e8, False)]:
+            cfg = SimConfig(m=m, p=p, s=100.0, exponents=e)
+            k_star, _ = oracles.simulate_recall_scan(cfg)
+            assert (k_star <= 1 << 20) is in_first_chunk and k_star < m
+            assert simulate_recall(cfg) == (k_star, k_star / m)
+        everything = SimConfig(m=m, p=1e12, s=100.0, exponents=e)
+        assert simulate_recall(everything) == oracles.simulate_recall_scan(everything) \
+            == (m, 1.0)
 
     def test_config_validation(self):
         e = TheoryExponents(alpha_z=1.23)
@@ -75,6 +83,62 @@ class TestSimulator:
             SimConfig(m=0, p=1.0, s=1.0, exponents=e)
         with pytest.raises(ValueError):
             SimConfig(m=10, p=-1.0, s=1.0, exponents=e)
+
+
+@st.composite
+def sim_configs(draw):
+    """Exponents, inventory size m (up to just past the oracle's scan chunk),
+    P and S. Half the draws place the threshold on a concept k0 <= m + 1,
+    where the float rounding of the signal decides whether k0 is recalled."""
+    alpha_z = draw(st.floats(1.01, 4.0))
+    beta_s = draw(st.floats(0.1, 3.0))
+    gamma_e = draw(st.floats(0.1, 3.0))
+    delta = draw(st.floats(0.1, 2.0))
+    m = draw(st.one_of(st.integers(1, 5000), st.integers(1, (1 << 20) + 64)))
+    p = 10 ** draw(st.floats(-2.0, 6.0))
+    s = 10 ** draw(st.floats(0.0, 8.0))
+    if draw(st.booleans()):
+        c0 = 10 ** draw(st.floats(-3.0, 3.0))
+    else:
+        k0 = draw(st.integers(1, m + 1))
+        c0 = k0 ** alpha_z * p ** (-gamma_e / (2 * beta_s)) / s ** delta
+    return SimConfig(m=m, p=p, s=s, exponents=TheoryExponents(
+        alpha_z=alpha_z, beta_s=beta_s, gamma_e=gamma_e, delta=delta, c0=c0))
+
+
+class TestSimulatorOracle:
+    """The closed-form prefix against the scan of every concept."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sim_configs())
+    def test_equals_scan(self, cfg):
+        assert simulate_recall(cfg) == oracles.simulate_recall_scan(cfg)
+
+    def test_nothing_recalled(self):
+        # f_1 = 0.5 is below the floor 1^-0.5 = 1; the sweep writes quality 0.
+        cfg = SimConfig(m=10, p=1.0, s=1.0,
+                        exponents=TheoryExponents(alpha_z=2.0, c0=0.5))
+        assert simulate_recall(cfg) == oracles.simulate_recall_scan(cfg) == (0, 0.0)
+
+    def test_everything_recalled(self):
+        # f_10 = 1e4 * 10^-2 = 100 clears the floor 4^-0.5 = 0.5.
+        cfg = SimConfig(m=10, p=4.0, s=1.0,
+                        exponents=TheoryExponents(alpha_z=2.0, c0=1e4))
+        assert simulate_recall(cfg) == oracles.simulate_recall_scan(cfg) == (10, 1.0)
+
+    @pytest.mark.parametrize("c0, expected", [(10.0, (1, 1.0)), (0.1, (0, 0.0))])
+    def test_single_concept(self, c0, expected):
+        cfg = SimConfig(m=1, p=4.0, s=1.0,
+                        exponents=TheoryExponents(alpha_z=2.0, c0=c0))
+        assert simulate_recall(cfg) == oracles.simulate_recall_scan(cfg) == expected
+
+    def test_floor_underflows(self):
+        # 1e300^-1.5 underflows to 0.0, so an estimate that divided by the
+        # floor in linear space would fail; every concept clears it.
+        e = TheoryExponents(alpha_z=1.23, gamma_e=3.0)
+        assert 1e300 ** (-e.gamma_e / 2.0) == 0.0
+        cfg = SimConfig(m=100_000, p=1e300, s=100.0, exponents=e)
+        assert simulate_recall(cfg) == oracles.simulate_recall_scan(cfg) == (100_000, 1.0)
 
 
 class TestInterference:

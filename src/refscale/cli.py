@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 # perfbench's tracer patches them, and never bound into this module's globals.
 from .atomic import atomic_write
 from .citations import load_stopwords
-from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, load_cells,
-                      model_quality, quality_matrix)
+from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, model_quality,
+                      quality_matrix, rounded_cells)
 from .openalex import OpenAlexClient
 from .pipeline import (CellRefs, FixtureMissBatch, group_cells, parse_corpus, score_corpus,
                        verify_corpus)
@@ -172,13 +172,19 @@ class RunContext:
         return group_cells(self.dataset, self.results, self.config.moe_convention)
 
     @cached_property
+    def scored(self) -> Tuple[List[ObservationCell], List[Tuple[str, str]]]:
+        """(cells, omitted cells) of the one scoring pass over the grouping."""
+        return score_corpus(self.dataset, self.grouped, self.config.partial_weight)
+
+    @cached_property
     def cells(self) -> List[ObservationCell]:
-        cells = load_cells(self._upstream("observations.csv"))
-        missing_s = sorted({c.topic for c in cells if c.log10_s is None})
+        """The scored cells as ``observations.csv`` holds them, for the fit; a
+        topic without works, in any grouped cell the sweep takes, fails here."""
+        missing_s = sorted({t for (_, t), g in self.grouped.items() if g.log10_s is None})
         if missing_s:
             raise IngestError("cells missing works count for topic(s): "
                               + ", ".join(missing_s))
-        return cells
+        return rounded_cells(self.scored[0])
 
     @cached_property
     def fit(self) -> SigmoidFit:
@@ -233,7 +239,7 @@ def cmd_verify(ctx: RunContext) -> int:
 
 def cmd_score(ctx: RunContext) -> int:
     config = ctx.config
-    cells, omitted = score_corpus(ctx.dataset, ctx.grouped, config.partial_weight)
+    cells, omitted = ctx.scored
     write_artifacts(config, {
         "observations.csv": cells_to_csv(cells),
         "model_quality.csv": (["model", "quality"], [
@@ -248,7 +254,7 @@ def cmd_fit(ctx: RunContext) -> int:
     from . import stats
 
     config = ctx.config
-    # The sweep's per-reference inputs; a missing label fails before any write.
+    # One grouping for the cells and the sweep; a missing label fails before any write.
     artifacts = stats.fit_artifacts(ctx.cells, ctx.grouped.values(), config.partial_weight)
     write_artifacts(config, artifacts)
     print("sigmoid fit: alpha={alpha:.3f} beta={beta:.3f} gamma={gamma:.3f} "
@@ -396,9 +402,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IngestError, ValueError) as err:
-        # A missing input file is a data error; other I/O failures are the
-        # fixture store's or the network's.
+    except (FileNotFoundError, IsADirectoryError, IngestError, ValueError) as err:
+        # A missing input file, or a directory in its place, is a data error;
+        # other I/O failures are the fixture store's or the network's.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (FixtureMissBatch, IOError) as err:

@@ -1,5 +1,5 @@
 """Domain data model, dataset ingestion, deduplication, and the
-``observations.csv`` codec for model x topic observation cells.
+``observations.csv`` writer for model x topic observation cells.
 
 The input dataset is a single JSON document with arrays ``models``,
 ``topics``, ``generations``, and optionally ``relevance_labels``. Reference
@@ -27,13 +27,12 @@ __all__ = [
     "RawGeneration",
     "ObservationCell",
     "Dataset",
-    "IngestError",
     "ingest_dataset",
     "dedup_cell",
     "model_quality",
     "quality_matrix",
     "cells_to_csv",
-    "load_cells",
+    "rounded_cells",
 ]
 
 ARCHITECTURES = ("dense", "dense-cot", "moe", "moe-cot", "unknown")
@@ -130,8 +129,6 @@ class ObservationCell:
     def __post_init__(self) -> None:
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError(f"quality out of range: {self.quality}")
-        if not all(x is None or math.isfinite(x) for x in (self.log10_p, self.log10_s)):
-            raise ValueError(f"axes must be finite: {self.log10_p}, {self.log10_s}")
 
 
 @dataclass
@@ -279,25 +276,9 @@ def cells_to_csv(cells: Sequence[ObservationCell]) -> str:
     return buf.getvalue()
 
 
-def load_cells(path) -> List[ObservationCell]:
-    """Read ``observations.csv`` back into cells, an empty axis as None. A wrong
-    header, a row without five fields, a value that is not a finite number or a
-    quality outside [0, 1] raises IngestError naming the file and the line."""
-    path = Path(path)
-    cells: List[ObservationCell] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _CELL_COLUMNS:
-            raise IngestError(f"{path}: line 1: expected columns {','.join(_CELL_COLUMNS)}"
-                              f", got {header!r}; re-run score")
-        for row in reader:
-            try:
-                model, topic, log10_p, log10_s, quality = row
-                cells.append(ObservationCell(
-                    model, topic, None if log10_p == "" else float(log10_p),
-                    None if log10_s == "" else float(log10_s), float(quality)))
-            except ValueError as err:
-                raise IngestError(f"{path}: line {reader.line_num}: {err}; "
-                                  "re-run score") from err
-    return cells
+def rounded_cells(cells: Sequence[ObservationCell]) -> List[ObservationCell]:
+    """The cells with each number at the 10 significant digits of ``cells_to_csv``:
+    the values ``observations.csv`` holds, which ``fit`` is computed from."""
+    return [ObservationCell(c.model, c.topic, *(None if x is None else float(f"{x:.10g}")
+                                               for x in (c.log10_p, c.log10_s, c.quality)))
+            for c in cells]

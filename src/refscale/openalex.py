@@ -102,6 +102,8 @@ class FixtureCache:
             entry = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise IOError(f"corrupt fixture {path}: invalid JSON: {err}") from err
+        except OSError as err:
+            raise IOError(f"corrupt fixture {path}: {err}") from err
         if not isinstance(entry, dict) or "body" not in entry:
             raise IOError(f"corrupt fixture {path}: no 'body' field")
         self._entries[fingerprint] = entry

@@ -34,7 +34,6 @@ __all__ = [
     "bootstrap_median_ci",
     "bootstrap_statistic",
     "weighted_loglog_fit",
-    "CellRefs",
     "partial_weight_sweep",
     "classify_regime",
     "fit_artifacts",
@@ -685,7 +684,8 @@ def fit_artifacts(cells: Sequence[ObservationCell], cell_refs: Iterable[CellRefs
                   baseline: float) -> Dict[str, object]:
     """The fit stage's artifacts by file name: the fits over the cells on the
     fit, per-model Spearman, regimes, the fitted curve, and the sweep of the
-    ``cell_refs`` on the fit around the ``baseline`` PARTIAL weight."""
+    ``cell_refs`` on the fit around the ``baseline`` PARTIAL weight. Every cell
+    and every ``cell_refs`` entry has S; one without P is off the fit."""
     fitted = [c for c in cells if c.log10_p is not None]
     triples = [(c.log10_p, c.log10_s, c.quality) for c in fitted]
     sig = fit_sigmoid(triples)
@@ -733,6 +733,6 @@ def fit_artifacts(cells: Sequence[ObservationCell], cell_refs: Iterable[CellRefs
             [(f"{r['partial_weight']:.4g}", f"{r['sigmoid_r2']:.8g}",
               f"{r['loglinear_r2']:.8g}", f"{r['rank_rho_vs_baseline']:.8g}")
              for r in partial_weight_sweep(
-                 [c for c in cell_refs if c.log10_p is not None and c.log10_s is not None],
+                 [c for c in cell_refs if c.log10_p is not None],
                  baseline=baseline)]),
     }

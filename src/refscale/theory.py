@@ -13,6 +13,7 @@ the fitted coefficients are only meaningful under that convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, Tuple
 
@@ -238,6 +239,8 @@ def required_params(
     if fit.alpha <= 0:
         raise ValueError(f"requires a positive size slope (alpha = {fit.alpha:g})")
     log10_p = (logit(quality_target) - fit.beta * math.log10(s) - fit.gamma) / fit.alpha
+    if not log10_p <= sys.float_info.max_10_exp:
+        raise ValueError(f"size slope too small for a finite size (alpha = {fit.alpha:g})")
     return 10.0 ** log10_p
 
 
@@ -250,7 +253,10 @@ def required_content(p: float, fit: SigmoidFit) -> float:
         raise ValueError(f"requires a positive content slope (beta = {fit.beta:g})")
     if p <= 0:
         raise ValueError("p must be positive")
-    return -(fit.alpha * math.log10(p) + fit.gamma) / fit.beta
+    log10_s = -(fit.alpha * math.log10(p) + fit.gamma) / fit.beta
+    if not math.isfinite(log10_s):
+        raise ValueError(f"content slope too small for a finite threshold (beta = {fit.beta:g})")
+    return log10_s
 
 
 def theory_artifacts(fit: SigmoidFit) -> Dict[str, object]:

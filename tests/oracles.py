@@ -1,10 +1,12 @@
 """Reference implementations that the statistics, theory and verify hot
-paths replaced.
+paths replaced, and the ``observations.csv`` reader that ``fit`` took its
+cells from.
 
 Each is the earlier code, kept verbatim where it can be, so that the faster
 versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.theory``,
-``refscale.citations`` and ``refscale.pipeline`` can be checked against it
-for exact equality.
+``refscale.citations`` and ``refscale.pipeline``, and the in-memory cells of
+``refscale.dataset.rounded_cells``, can be checked against it for exact
+equality.
 Three are declared exceptions, held to a stated error instead:
 
 - The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
@@ -22,19 +24,23 @@ Three are declared exceptions, held to a stated error instead:
   form is held to ``ols_slope_exact`` instead.
 """
 
+import csv
 import json
 import math
 import re
 import unicodedata
 from itertools import permutations, product
 from pathlib import Path
+from typing import List
 
 import mpmath
 import numpy as np
 from scipy import stats as sps
 
+from refscale.dataset import _CELL_COLUMNS, ObservationCell
 from refscale.openalex import ExternalWork, FixtureMiss, request_fingerprint
 from refscale.pipeline import FixtureMissBatch
+from refscale.records import IngestError
 from refscale.stats import _rho_and_ranks, fit_ols, fit_sigmoid
 from refscale.verification import (
     FIELD_KINDS,
@@ -365,3 +371,29 @@ def verify_corpus(corpus, fixtures, stopwords, overlap_threshold=0.5,
     if misses:
         raise FixtureMissBatch(misses)
     return results
+
+
+# -- fit's cells, read back from the observations.csv that score wrote -------
+
+def load_cells(path) -> List[ObservationCell]:
+    """Read ``observations.csv`` back into cells, an empty axis as None. A wrong
+    header, a row without five fields, a value that is not a number or a
+    quality outside [0, 1] raises IngestError naming the file and the line."""
+    path = Path(path)
+    cells: List[ObservationCell] = []
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != _CELL_COLUMNS:
+            raise IngestError(f"{path}: line 1: expected columns {','.join(_CELL_COLUMNS)}"
+                              f", got {header!r}; re-run score")
+        for row in reader:
+            try:
+                model, topic, log10_p, log10_s, quality = row
+                cells.append(ObservationCell(
+                    model, topic, None if log10_p == "" else float(log10_p),
+                    None if log10_s == "" else float(log10_s), float(quality)))
+            except ValueError as err:
+                raise IngestError(f"{path}: line {reader.line_num}: {err}; "
+                                  "re-run score") from err
+    return cells

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, missing", [
         ("score", "verification.jsonl"),
-        ("fit", "observations.csv"),
+        ("fit", "verification.jsonl"),
         ("theory", "fit_report.json"),
         ("report", "verification.jsonl"),
     ], ids=["score", "fit", "theory", "report"])
@@ -151,6 +152,38 @@ class TestExitCodes:
             args += [flag, missing]
         assert main([command, *args]) == 2
         assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--dataset"),
+        ("zipf", "--counts"),
+        ("verify", "--config"),
+    ])
+    def test_input_path_is_a_directory(self, tmp_path, capsys, command, flag):
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        args = _args(tmp_path / "out")
+        if flag in args:
+            args[args.index(flag) + 1] = str(directory)
+        else:
+            args += [flag, str(directory)]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert str(directory) in err
+        assert "Traceback" not in err
+
+    def test_fixture_entry_is_a_directory(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(DEMO_FIXTURES, fixtures)
+        path = next(p for p in sorted(fixtures.glob("*.json"))
+                    if json.loads(p.read_text())["request"]["endpoint"] == "works_search")
+        path.unlink()
+        path.mkdir()
+        code = main(["verify", "--dataset", str(DEMO_DATASET),
+                     "--fixtures", str(fixtures), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"corrupt fixture {path}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt", [
         lambda entry: json.dumps(entry)[:7],
@@ -299,39 +332,20 @@ class TestExitCodes:
         assert "re-run verify" in err
 
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda rows: [["model", "topic", "log10_params", "log10_works", "q"],
-                       *rows[1:]], "line 1: expected columns"),
-        (lambda rows: [rows[0], rows[1][:4], *rows[2:]],
-         "line 2: not enough values to unpack (expected 5, got 4)"),
-        (lambda rows: [rows[0], [*rows[1][:2], "many", *rows[1][3:]], *rows[2:]],
-         "line 2: could not convert string to float: 'many'"),
-        (lambda rows: [rows[0], [*rows[1][:4], "1.5"], *rows[2:]],
-         "line 2: quality out of range: 1.5"),
-    ], ids=["header", "short-row", "non-numeric", "quality-above-1"])
-    def test_malformed_observations(self, tmp_path, capsys, pipeline_out, edit, message):
-        out = tmp_path / "out"
-        out.mkdir()
-        path = out / "observations.csv"
-        with (pipeline_out / path.name).open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        with path.open("w", newline="") as handle:
-            csv.writer(handle).writerows(edit(rows))
-        assert main(["fit", *_args(out)]) == 2
+    def test_observations_without_works_count(self, tmp_path, capsys):
+        doc = json.loads(DEMO_DATASET.read_text())
+        topic = doc["topics"][2]["name"]
+        doc["topics"][2]["works_count"] = 0
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(doc))
+        args = ["--dataset", str(dataset), "--fixtures", str(DEMO_FIXTURES),
+                "--output-dir", str(tmp_path / "out")]
+        assert main(["verify", *args]) == 0
+        capsys.readouterr()
+        assert main(["fit", *args]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: {message}" in err
-        assert "re-run score" in err
-        assert "Traceback" not in err
-
-    def test_observations_without_works_count(self, tmp_path, capsys, pipeline_out):
-        out = tmp_path / "out"
-        out.mkdir()
-        lines = (pipeline_out / "observations.csv").read_text().splitlines()
-        model, topic, params, _, quality = lines[1].split(",")
-        lines[1] = ",".join([model, topic, params, "", quality])
-        (out / "observations.csv").write_text("\n".join(lines) + "\n")
-        assert main(["fit", *_args(out)]) == 2
-        assert f"cells missing works count for topic(s): {topic}" in capsys.readouterr().err
+        assert f"cells missing works count for topic(s): {topic}\n" in err
+        assert not (tmp_path / "out" / "fit_report.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: {**doc, "sigmoid": [1, 2]},
@@ -371,6 +385,9 @@ class TestTheoryRefusals:
         ("converged", False, "fit did not converge (converged is false)"),
         ("alpha", -0.5, "requires a positive size slope (alpha = -0.5)"),
         ("beta", -0.25, "requires a positive content slope (beta = -0.25)"),
+        ("alpha", 1e-6, "size slope too small for a finite size (alpha = 1e-06)"),
+        ("alpha", 5e-324, "size slope too small for a finite size (alpha = 4.94066e-324)"),
+        ("beta", 1e-310, "content slope too small for a finite threshold (beta = 1e-310)"),
     ])
     def test_theory_names_fit_report_and_field(self, tmp_path, capsys, pipeline_out,
                                                field, value, message):
@@ -429,7 +446,7 @@ class TestHashSeed:
 class TestOnePass:
     # The loaders RunContext calls. build_record reads fit_report.json's
     # sigmoid, and the config, so its calls are counted per record type.
-    LOADERS = ("ingest_dataset", "parse_corpus", "results_from_jsonl", "load_cells",
+    LOADERS = ("ingest_dataset", "parse_corpus", "results_from_jsonl", "score_corpus",
                "build_record", "group_cells")
 
     def test_report_loads_each_input_once(self, tmp_path, monkeypatch):
@@ -446,10 +463,52 @@ class TestOnePass:
         monkeypatch.setattr(pipeline, "group_cells", cli.group_cells)
         assert main(["report", *_args(out), "--min-n", "10"]) == 0
         # No parse_corpus: scoring needs only the dataset and the results,
-        # grouped once for scoring and the sweep.
+        # grouped once for scoring and the sweep, and scored once for score and fit.
         assert calls == {"ingest_dataset": 1, "results_from_jsonl": 1,
-                         "load_cells": 1, "build_record(SigmoidFit)": 1,
+                         "score_corpus": 1, "build_record(SigmoidFit)": 1,
                          "build_record(RunConfig)": 1, "group_cells": 1}
+
+
+FIT_ARTIFACTS = ("fit_report.json", "per_model_spearman.csv", "regimes.csv",
+                 "sigmoid_curve.csv", "partial_weight_sweep.csv")
+
+
+def _big_70b_moe(doc):
+    doc["models"][2].update(architecture="moe", total_params=235.0)
+    return doc
+
+
+class TestFitScoresItsOwnCells:
+    """fit scores the cells it fits from its own config, so its artifacts do
+    not depend on whether score ran before it, or with what config."""
+
+    @pytest.mark.parametrize("edit, score_flags", [
+        (lambda doc: doc, ["--partial-weight", "0.0"]),
+        (_big_70b_moe, ["--moe-convention", "active"]),
+    ], ids=["partial-weight", "moe-convention"])
+    def test_fit_does_not_depend_on_score(self, tmp_path, monkeypatch, edit, score_flags):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(edit(json.loads(DEMO_DATASET.read_text()))))
+        # The same relative output directory in each run directory, so that
+        # every run has the same config hash.
+        args = ["--dataset", str(dataset), "--fixtures", str(DEMO_FIXTURES),
+                "--output-dir", "out"]
+        bundles = {}
+        for run, score in (("other-score", ["score", *score_flags]),
+                           ("default-score", ["score"]), ("no-score", None)):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(["verify", *args]) == 0
+            if score:
+                assert main([*score, *args]) == 0
+            assert main(["fit", *args]) == 0
+            bundles[run] = {name: Path("out", name).read_bytes() for name in FIT_ARTIFACTS}
+        assert bundles["other-score"] == bundles["default-score"] == bundles["no-score"]
+
+        r2 = json.loads(bundles["no-score"]["fit_report.json"])["sigmoid"]["r2"]
+        rows = list(csv.reader(bundles["no-score"]["partial_weight_sweep.csv"]
+                               .decode().splitlines()[1:]))
+        assert [f"{r2:.8g}"] == [row[1] for row in rows if row[0] == "0.5"]
 
 
 class TestAtomicArtifacts:

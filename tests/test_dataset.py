@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import tempfile
@@ -7,10 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from refscale.citations import ParsedReference
 from refscale.dataset import (
     Dataset,
-    IngestError,
     ModelSpec,
     ObservationCell,
     RawGeneration,
@@ -18,10 +18,11 @@ from refscale.dataset import (
     cells_to_csv,
     dedup_cell,
     ingest_dataset,
-    load_cells,
     model_quality,
+    rounded_cells,
 )
 from refscale.pipeline import group_cells, score_corpus
+from refscale.records import IngestError
 from refscale.verification import FieldVerdict, RelevanceLabel, Status, VerificationResult
 
 
@@ -246,17 +247,11 @@ class TestCellsRoundTrip:
                               quality=st.floats(min_value=0, max_value=1)),
                     max_size=8))
     def test_load_inverts_csv_at_ten_digits(self, cells):
+        # fit takes the rounded cells; they are the cells that score's
+        # observations.csv reads back to.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "observations.csv"
             path.write_text(cells_to_csv(cells), encoding="utf-8", newline="")
-            with path.open(newline="") as handle:
-                written = [row[-1] for row in csv.reader(handle)][1:]
-            loaded = load_cells(path)
-
-        def rounded(x):
-            return None if x is None else float(f"{x:.10g}")
-
-        assert [(c.model, c.topic, c.log10_p, c.log10_s, c.quality) for c in loaded] == [
-            (c.model, c.topic, rounded(c.log10_p), rounded(c.log10_s), rounded(c.quality))
-            for c in cells]
-        assert [f"{c.quality:.10g}" for c in loaded] == written
+            assert rounded_cells(cells) == oracles.load_cells(path)
+        assert ([f"{c.quality:.10g}" for c in rounded_cells(cells)]
+                == [f"{c.quality:.10g}" for c in cells])

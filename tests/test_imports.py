@@ -2,7 +2,11 @@
 module. A name counts as read where it is loaded, where it appears in an
 annotation (quoted ones included) and where ``__all__`` lists it; imports
 under ``if TYPE_CHECKING:`` and ``try:`` blocks are checked like any other.
-``from __future__`` imports bind nothing to read."""
+``from __future__`` imports bind nothing to read.
+
+Every name in a module's ``__all__`` is defined there, by a top-level
+``def``, ``class`` or assignment: a name has one home, and an import does
+not make one."""
 
 import ast
 import textwrap
@@ -87,3 +91,46 @@ def test_guard_flags_only_unread_names():
         ''')
     assert sorted(unused_imports(source)) == [
         ("Fraction", 9), ("Iterable", 5), ("field", 6), ("gzip", 13), ("zlib", 11)]
+
+
+def _all_entries(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def exports_not_defined(source: str):
+    """The ``__all__`` entries no top-level def, class or assignment binds."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in _all_entries(tree) if name not in defined]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_export_is_defined_in_its_module(path):
+    assert exports_not_defined(path.read_text()) == []
+
+
+def test_export_guard_flags_imported_and_unbound_names():
+    source = textwrap.dedent('''
+        from typing import List
+        from .records import IngestError
+        __all__ = ["IngestError", "Cell", "load", "LIMIT", "Alias", "gone", "List"]
+        LIMIT = 3
+        Alias: type = int
+
+        class Cell:
+            pass
+
+        def load():
+            pass
+        ''')
+    assert exports_not_defined(source) == ["IngestError", "gone", "List"]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from refscale.pipeline import CellRefs
 from refscale.stats import (
-    CellRefs,
     ConfusionMatrix2x2,
     bootstrap_median_ci,
     cohen_kappa,

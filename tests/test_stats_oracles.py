@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 import oracles
 from refscale import stats, zipflaw
+from refscale.pipeline import CellRefs
 from refscale.stats import (
-    CellRefs,
     bootstrap_median_ci,
     bootstrap_statistic,
     partial_weight_sweep,

@@ -36,10 +36,6 @@ class CitationSample:
     def counts(self) -> List[int]:
         return [c for _, c in self.matched]
 
-    @property
-    def n_total(self) -> int:
-        return len(self.matched) + self.n_excluded_status
-
 
 @dataclass
 class GradientReport:

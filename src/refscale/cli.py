@@ -23,10 +23,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-# numpy and the numeric modules (stats, theory, citetail, zipflaw) are
-# imported by the commands that use them, so ingest, verify and score do not
-# load numpy. Their functions are called through the module, where
-# perfbench's tracer patches them, and never bound into this module's globals.
+# numpy and stats, scalinglaw, theory, citetail and zipflaw are imported by
+# the commands that use them, so ingest, verify and score do not load numpy.
+# Their functions are called through the module, where perfbench's tracer
+# patches them, and never bound into this module's globals.
 from .atomic import atomic_write
 from .citations import load_stopwords
 from .dataset import (Dataset, ObservationCell, cells_to_csv, ingest_dataset, model_quality,
@@ -178,12 +178,7 @@ class RunContext:
 
     @cached_property
     def cells(self) -> List[ObservationCell]:
-        """The scored cells as ``observations.csv`` holds them, for the fit; a
-        topic without works, in any grouped cell the sweep takes, fails here."""
-        missing_s = sorted({t for (_, t), g in self.grouped.items() if g.log10_s is None})
-        if missing_s:
-            raise IngestError("cells missing works count for topic(s): "
-                              + ", ".join(missing_s))
+        """The scored cells as ``observations.csv`` holds them, for the fit."""
         return rounded_cells(self.scored[0])
 
     @cached_property
@@ -251,12 +246,11 @@ def cmd_score(ctx: RunContext) -> int:
 
 
 def cmd_fit(ctx: RunContext) -> int:
-    from . import stats
+    from . import scalinglaw
 
-    config = ctx.config
     # One grouping for the cells and the sweep; a missing label fails before any write.
-    artifacts = stats.fit_artifacts(ctx.cells, ctx.grouped.values(), config.partial_weight)
-    write_artifacts(config, artifacts)
+    artifacts = scalinglaw.fit_artifacts(ctx.cells, ctx.grouped, ctx.config.partial_weight)
+    write_artifacts(ctx.config, artifacts)
     print("sigmoid fit: alpha={alpha:.3f} beta={beta:.3f} gamma={gamma:.3f} "
           "r2={r2:.3f} (n={n})".format(**artifacts["fit_report.json"]["sigmoid"]))
     return EXIT_OK
@@ -384,6 +378,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args)
+        out = Path(config.output_dir)
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise IngestError(f"output_dir {out}: {found} is not a directory")
         if getattr(args, "min_n", 2) < 2:
             raise IngestError(f"--min-n {args.min_n} is below 2, the fewest "
                               "references a median's bootstrap CI needs")

@@ -86,6 +86,8 @@ class FixtureCache:
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise NotADirectoryError(f"fixture path {self.directory} is not a directory")
         self._entries: Dict[str, dict] = {}
 
     def _path(self, fingerprint: str) -> Path:

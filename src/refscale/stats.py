@@ -1,7 +1,8 @@
-"""Fitting and agreement statistics: the logistic scaling-law fit by damped
-nonlinear least squares, log-linear OLS, incremental F, rank correlation,
-bootstrap confidence intervals, kappa statistics, the inverse-variance
-weighted log-log fit, and the relevance-weight robustness sweep.
+"""Estimators: the logistic scaling-law fit by damped nonlinear least
+squares, log-linear OLS, incremental F, rank correlation, bootstrap
+confidence intervals, kappa statistics, the inverse-variance weighted
+log-log fit, and the relevance-weight robustness sweep. The stages that call
+them build their artifacts in their own modules.
 
 Every randomized procedure is a pure function of (seed, input).
 """
@@ -9,12 +10,11 @@ Every randomized procedure is a pure function of (seed, input).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import ObservationCell
 from .pipeline import CellRefs
 from .verification import RelevanceLabel, relevance_value
 
@@ -35,8 +35,6 @@ __all__ = [
     "bootstrap_statistic",
     "weighted_loglog_fit",
     "partial_weight_sweep",
-    "classify_regime",
-    "fit_artifacts",
 ]
 
 
@@ -67,14 +65,6 @@ class SigmoidFit:
     converged: bool
     iterations: int
     rss: float
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
-
-    @property
-    def ses(self) -> np.ndarray:
-        return np.array([self.se_alpha, self.se_beta, self.se_gamma])
 
 
 @dataclass
@@ -619,8 +609,6 @@ def partial_weight_sweep(
     by_size: Dict[int, List[int]] = {}
     members: Dict[str, List[int]] = {}
     for i, cell in enumerate(cell_refs):
-        if not cell.refs:
-            raise ValueError(f"cell for model {cell.model!r} has no references")
         by_size.setdefault(len(cell.refs), []).append(i)
         members.setdefault(cell.model, []).append(i)
     blocks = [
@@ -664,75 +652,3 @@ def partial_weight_sweep(
             }
         )
     return rows
-
-
-REGIME_CUTOFF = 2.0  # sigma(+-2) is within ~12% of the asymptotes
-
-
-def classify_regime(z: float) -> str:
-    """floor / ramp / ceiling by the linear predictor z."""
-    if z < -REGIME_CUTOFF:
-        return "floor"
-    if z > REGIME_CUTOFF:
-        return "ceiling"
-    return "ramp"
-
-
-# -- the fit stage's artifacts ------------------------------------------------
-
-def fit_artifacts(cells: Sequence[ObservationCell], cell_refs: Iterable[CellRefs],
-                  baseline: float) -> Dict[str, object]:
-    """The fit stage's artifacts by file name: the fits over the cells on the
-    fit, per-model Spearman, regimes, the fitted curve, and the sweep of the
-    ``cell_refs`` on the fit around the ``baseline`` PARTIAL weight. Every cell
-    and every ``cell_refs`` entry has S; one without P is off the fit."""
-    fitted = [c for c in cells if c.log10_p is not None]
-    triples = [(c.log10_p, c.log10_s, c.quality) for c in fitted]
-    sig = fit_sigmoid(triples)
-    arr = np.asarray(triples)
-    two = fit_ols(arr[:, :2], arr[:, 2])
-    one = fit_ols(arr[:, 0], arr[:, 2])
-    f_stat, dof = incremental_f(two, one)
-
-    by_model: Dict[str, List[ObservationCell]] = {}
-    for cell in cells:
-        by_model.setdefault(cell.model, []).append(cell)
-    pts, per_model = [], []
-    for model in sorted(by_model):
-        sub = by_model[model]
-        # A model-level point (log10 P, mean quality) over its cells on the fit.
-        on_fit = [c for c in sub if c.log10_p is not None]
-        if on_fit:
-            pts.append((on_fit[0].log10_p, float(np.mean([c.quality for c in on_fit]))))
-        # Rank correlation of quality with content representation.
-        s_vals, q_vals = [c.log10_s for c in sub], [c.quality for c in sub]
-        if len(sub) >= 3 and np.ptp(s_vals) > 0 and np.ptp(q_vals) > 0:
-            rho, p = spearman(s_vals, q_vals)
-            per_model.append((model, f"{rho:.6g}", f"{p:.6g}"))
-    model_fit = fit_ols([p for p, _ in pts], [q for _, q in pts]) if len(pts) >= 3 else None
-
-    zs = sig.alpha * arr[:, 0] + sig.beta * arr[:, 1] + sig.gamma
-    regimes = [(c.model, c.topic, f"{z:.6g}", classify_regime(z)) for c, z in zip(fitted, zs)]
-    return {
-        "fit_report.json": {
-            "sigmoid": asdict(sig),
-            "ols_cells_two_predictor": two.as_dict(),
-            "ols_cells_size_only": one.as_dict(),
-            "incremental_f": {"f": f_stat, "dof": list(dof)},
-            "ols_model_level_size_only": model_fit.as_dict() if model_fit else None,
-            "n_cells_fit": len(triples),
-            "n_cells_total": len(cells),
-        },
-        "per_model_spearman.csv": (
-            ["model", "rho_quality_vs_log10_works", "p_two_sided"], per_model),
-        "regimes.csv": (["model", "topic", "z", "regime"], regimes),
-        "sigmoid_curve.csv": (["z", "quality"], [
-            (f"{z:.6g}", f"{float(sigmoid(z)):.8g}") for z in np.linspace(-8, 8, 161)]),
-        "partial_weight_sweep.csv": (
-            ["partial_weight", "sigmoid_r2", "loglinear_r2", "rank_rho_vs_baseline"],
-            [(f"{r['partial_weight']:.4g}", f"{r['sigmoid_r2']:.8g}",
-              f"{r['loglinear_r2']:.8g}", f"{r['rank_rho_vs_baseline']:.8g}")
-             for r in partial_weight_sweep(
-                 [c for c in cell_refs if c.log10_p is not None],
-                 baseline=baseline)]),
-    }

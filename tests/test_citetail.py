@@ -31,7 +31,7 @@ class TestBuildSamples:
         assert sample.model == "m"
         assert sorted(sample.counts) == [5, 10, 15]
         assert sample.n_excluded_status == 1
-        assert sample.n_total == 4
+        assert len(sample.matched) + sample.n_excluded_status == 4
 
 
 class TestCommand:

@@ -17,6 +17,7 @@ import pytest
 import refscale
 from refscale import cli, pipeline, stats
 from refscale.cli import main
+from refscale.openalex import FixtureCache
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
 from test_golden import PATHS, set_up
@@ -184,6 +185,36 @@ class TestExitCodes:
         assert code == 3
         assert f"corrupt fixture {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, below", [
+        ("ingest", ""), ("verify", ""), ("report", ""), ("zipf", ""), ("verify", "out")])
+    def test_output_dir_is_a_file(self, tmp_path, capsys, monkeypatch, command, below):
+        outfile = tmp_path / "outfile"
+        outfile.write_text("")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("concept,count\nc1,100\nc2,50\nc3,33\nc4,25\n")
+
+        def untouched(*args):
+            raise AssertionError("an input was read before the output path was checked")
+
+        monkeypatch.setattr(cli, "ingest_dataset", untouched)
+        monkeypatch.setattr(cli, "parse_corpus", untouched)
+        extra = ["--counts", str(counts)] if command == "zipf" else []
+        assert main([command, *_args(outfile / below), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output_dir {outfile / below}: {outfile} is not a directory\n")
+
+    def test_fixtures_path_is_a_file(self, tmp_path, capsys, monkeypatch):
+        lookups = []
+        monkeypatch.setattr(FixtureCache, "get",
+                            lambda self, fingerprint: lookups.append(fingerprint))
+        code = main(["verify", "--dataset", str(DEMO_DATASET),
+                     "--fixtures", str(DEMO_DATASET), "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: fixture path {DEMO_DATASET} is not a directory\n")
+        assert lookups == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("corrupt", [
         lambda entry: json.dumps(entry)[:7],

@@ -6,7 +6,10 @@ under ``if TYPE_CHECKING:`` and ``try:`` blocks are checked like any other.
 
 Every name in a module's ``__all__`` is defined there, by a top-level
 ``def``, ``class`` or assignment: a name has one home, and an import does
-not make one."""
+not make one.
+
+``stats`` holds estimators only: it defines no ``*_artifacts`` function and
+imports no stage module."""
 
 import ast
 import textwrap
@@ -134,3 +137,47 @@ def test_export_guard_flags_imported_and_unbound_names():
             pass
         ''')
     assert exports_not_defined(source) == ["IngestError", "gone", "List"]
+
+
+# The modules that build or write a stage's artifacts. An estimator imports
+# none of them, so the estimators never depend on a stage.
+STAGES = {"cli", "dataset", "scalinglaw", "theory", "citetail", "zipflaw"}
+
+
+def stage_ties(source: str):
+    """The ``*_artifacts`` functions a module defines at top level and the
+    stage modules it imports anywhere, sorted."""
+    tree = ast.parse(source)
+    ties = {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_artifacts")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split(".")) | {a.name for a in node.names}
+        else:
+            continue
+        ties |= names & STAGES
+    return sorted(ties)
+
+
+def test_stats_holds_only_estimators():
+    assert stage_ties((REPO / "src" / "refscale" / "stats.py").read_text()) == []
+
+
+def test_stage_guard_flags_artifacts_and_stage_imports():
+    source = textwrap.dedent('''
+        import refscale.cli
+        from . import theory as th, records
+        from .dataset import ObservationCell
+        from .pipeline import CellRefs
+        from refscale import zipflaw
+
+        def fit_artifacts():
+            from .citetail import TooFewModels
+
+        def artifacts():
+            pass
+        ''')
+    assert stage_ties(source) == ["citetail", "cli", "dataset", "fit_artifacts", "theory",
+                                  "zipflaw"]

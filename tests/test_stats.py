@@ -30,7 +30,7 @@ class TestSigmoidFit:
 
     def test_exact_recovery(self):
         fit = fit_sigmoid(self._grid(1.48, 0.46, -5.19))
-        assert fit.params == pytest.approx([1.48, 0.46, -5.19], abs=1e-8)
+        assert [fit.alpha, fit.beta, fit.gamma] == pytest.approx([1.48, 0.46, -5.19], abs=1e-8)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
         assert fit.converged
 
@@ -39,7 +39,7 @@ class TestSigmoidFit:
         rng = np.random.default_rng(0)
         data[:, 2] = np.clip(data[:, 2] + rng.normal(0, 0.05, len(data)), 0, 1)
         fit = fit_sigmoid(data)
-        assert np.all(fit.ses > 0)
+        assert np.all(np.array([fit.se_alpha, fit.se_beta, fit.se_gamma]) > 0)
 
     def test_too_few_cells(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from refscale.stats import SigmoidFit, classify_regime, sigmoid
+from refscale.scalinglaw import classify_regime
+from refscale.stats import SigmoidFit, sigmoid
 from refscale.theory import (
     QualityLink,
     SimConfig,

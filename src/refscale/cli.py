@@ -48,9 +48,9 @@ EXIT_FIXTURE = 3
 
 @dataclass
 class RunConfig:
-    dataset: str
-    fixtures: str
     output_dir: str
+    dataset: Optional[str] = None
+    fixtures: Optional[str] = None
     offline: bool = True
     partial_weight: float = 0.50
     contradiction_penalty: float = -1.0
@@ -79,7 +79,8 @@ class RunConfig:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by flags, checked field by field
-    against ``RunConfig``: a fault names the file and the key."""
+    against ``RunConfig``: a fault names the file and the key. A path the
+    command reads, or the output directory, missing is a usage error."""
     values: dict = {}
     where = getattr(args, "config", None)
     if where:
@@ -96,7 +97,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             values[f.name] = flag
     if values.get("mailto") is None:
         values["mailto"] = os.environ.get("REFSCALE_MAILTO")
-    missing = [k for k in ("dataset", "fixtures", "output_dir") if not values.get(k)]
+    reads = {"verify": ("dataset", "fixtures"), "zipf": (), "theory": ()}
+    missing = [k for k in ("output_dir", *reads.get(args.command, ("dataset",)))
+               if not values.get(k)]
     if missing:
         raise UsageError(f"missing required config value(s): {', '.join(missing)}")
     return build_record(RunConfig, where or "flags", values)
@@ -197,16 +200,15 @@ class RunContext:
 
 def cmd_ingest(ctx: RunContext) -> int:
     config, dataset = ctx.config, ctx.dataset
-    n_cells = len({(gen.model, gen.topic) for gen in dataset.generations})
     write_artifacts(config, {"ingest_report.json": {
         "n_models": len(dataset.models),
         "n_topics": len(dataset.topics),
         "n_generations": len(dataset.generations),
-        "n_cells": n_cells,
+        "n_cells": len(dataset.generations),  # one generation per cell
         "n_relevance_labels": len(dataset.relevance_labels),
     }})
     print(f"ingested {len(dataset.models)} models, {len(dataset.topics)} topics, "
-          f"{n_cells} populated cells")
+          f"{len(dataset.generations)} populated cells")
     return EXIT_OK
 
 

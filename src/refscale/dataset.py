@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .citations import ParsedReference, normalize_title
-from .records import IngestError, build_record, check_type
+from .records import IngestError, build_record
 from .verification import RelevanceLabel
 
 __all__ = [
@@ -112,6 +113,23 @@ class RawGeneration:
             raise IngestError(f"({self.model}, {self.topic}): n_requested must be non-negative")
 
 
+_LABELS = {label.value: label for label in RelevanceLabel}
+
+
+@dataclass
+class LabelRecord:
+    """One relevance label: the reference at ``reference_index`` of a cell."""
+
+    model: str
+    topic: str
+    reference_index: int
+    label: str
+
+    def __post_init__(self) -> None:
+        if self.label not in _LABELS:
+            raise IngestError(f"label must be YES, PARTIAL or NO, got {self.label!r}")
+
+
 @dataclass
 class ObservationCell:
     """One (model, topic) cell: a row of ``observations.csv``.
@@ -136,9 +154,7 @@ class Dataset:
     models: Dict[str, ModelSpec]
     topics: Dict[str, TopicSpec]
     generations: List[RawGeneration]
-    relevance_labels: Dict[Tuple[str, str, int], RelevanceLabel] = field(
-        default_factory=dict
-    )
+    relevance_labels: Dict[Tuple[str, str, int], RelevanceLabel]
 
     def cell_axes(self, model: str, topic: str, moe_convention: str = "total"
                   ) -> Tuple[Optional[float], Optional[float]]:
@@ -151,11 +167,7 @@ class Dataset:
 
 
 def ingest_dataset(path) -> Dataset:
-    """Load and validate a dataset JSON file.
-
-    Every generation and relevance label must reference a known model and
-    topic; violations name the offending record.
-    """
+    """Load and validate a dataset JSON file; ``_section`` checks each record."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -164,61 +176,40 @@ def ingest_dataset(path) -> Dataset:
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: expected a JSON object with models, topics "
                           f"and generations, got a {type(doc).__name__}")
-
-    models: Dict[str, ModelSpec] = {}
-    for where, rec in _records(doc, "models"):
-        spec = build_record(ModelSpec, where, rec)
-        if spec.name in models:
-            raise IngestError(f"{where}: duplicate model name {spec.name!r}")
-        models[spec.name] = spec
-
-    topics: Dict[str, TopicSpec] = {}
-    for where, rec in _records(doc, "topics"):
-        spec = build_record(TopicSpec, where, rec)
-        if spec.name in topics:
-            raise IngestError(f"{where}: duplicate topic name {spec.name!r}")
-        topics[spec.name] = spec
-
-    generations: List[RawGeneration] = []
-    for where, rec in _records(doc, "generations"):
-        gen = build_record(RawGeneration, where, rec)
-        if gen.model not in models:
-            raise IngestError(f"{where}: unknown model key {gen.model!r}")
-        if gen.topic not in topics:
-            raise IngestError(f"{where}: unknown topic key {gen.topic!r}")
-        generations.append(gen)
-
-    labels: Dict[Tuple[str, str, int], RelevanceLabel] = {}
-    for where, rec in _records(doc, "relevance_labels"):
-        model, topic = rec.get("model"), rec.get("topic")
-        if not isinstance(model, str) or model not in models:
-            raise IngestError(f"{where}: unknown model key {model!r}")
-        if not isinstance(topic, str) or topic not in topics:
-            raise IngestError(f"{where}: unknown topic key {topic!r}")
-        if "reference_index" not in rec:
-            raise IngestError(f"{where}: missing field 'reference_index'")
-        check_type(where, "reference_index", rec["reference_index"], "int")
-        try:
-            label = RelevanceLabel(rec["label"])
-        except (KeyError, ValueError) as err:
-            raise IngestError(f"{where}: bad label: {err}") from err
-        labels[(model, topic, rec["reference_index"])] = label
-
-    return Dataset(models=models, topics=topics, generations=generations,
-                   relevance_labels=labels)
+    models = _section(doc, "models", ModelSpec, ("name",))
+    topics = _section(doc, "topics", TopicSpec, ("name",))
+    known = (("model", models), ("topic", topics))
+    generations = _section(doc, "generations", RawGeneration, ("model", "topic"), known)
+    labels = _section(doc, "relevance_labels", LabelRecord,
+                      ("model", "topic", "reference_index"), known)
+    return Dataset(models=models, topics=topics, generations=list(generations.values()),
+                   relevance_labels={k: _LABELS[r.label] for k, r in labels.items()})
 
 
-def _records(doc: dict, section: str) -> Iterable[Tuple[str, dict]]:
-    """(``section[i]``, record) for each object in one top-level array."""
+def _section(doc: dict, section: str, cls, key: Tuple[str, ...],
+             known: Sequence[Tuple[str, Mapping]] = ()) -> Dict:
+    """One top-level array's records by their ``key`` fields, in file order. A
+    record is refused if it names no entry of a ``known`` (field, mapping), or
+    repeats an earlier record's key."""
     recs = doc.get(section, [])
     if not isinstance(recs, list):
         raise IngestError(f"{section}: expected a list of records, "
                           f"got a {type(recs).__name__}")
+    get_key = attrgetter(*key)
+    records: Dict = {}
     for i, rec in enumerate(recs):
         where = f"{section}[{i}]"
-        if not isinstance(rec, dict):
-            raise IngestError(f"{where}: expected an object, got {rec!r}")
-        yield where, rec
+        record = build_record(cls, where, rec)
+        for name, entries in known:
+            if getattr(record, name) not in entries:
+                raise IngestError(f"{where}: unknown {name} key {getattr(record, name)!r}")
+        k = get_key(record)
+        if k in records:
+            # Each earlier record holds one entry, so a key's position is its index.
+            raise IngestError(f"{where}: duplicate {', '.join(key)} {k!r} "
+                              f"(first at {section}[{list(records).index(k)}])")
+        records[k] = record
+    return records
 
 
 def dedup_cell(refs: Sequence[ParsedReference]) -> List[int]:

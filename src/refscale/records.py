@@ -8,7 +8,8 @@ input (dataset, fixtures, artifacts, config) can import it.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from functools import lru_cache
 
 __all__ = ["IngestError", "check_type", "build_record"]
 
@@ -45,14 +46,23 @@ def check_type(where: str, name: str, value, annotation: str) -> None:
 
 
 def build_record(cls, where: str, rec: dict):
-    """``cls(**rec)`` after checking that ``rec`` is an object and each
-    field's JSON type, with every fault prefixed by the record's position."""
+    """``cls(**rec)`` once ``rec`` is an object holding every field without a
+    default, each of a JSON type its annotation accepts; faults are prefixed by ``where``."""
     if type(rec) is not dict:
         raise IngestError(f"{where}: must be an object, got {type(rec).__name__}")
-    for f in fields(cls):
-        if f.name in rec:
-            check_type(where, f.name, rec[f.name], f.type)
+    for name, annotation, required in _fields(cls):
+        if name in rec:
+            check_type(where, name, rec[name], annotation)
+        elif required:
+            raise IngestError(f"{where}: missing field {name!r}")
     try:
         return cls(**rec)
     except (TypeError, IngestError) as err:
         raise IngestError(f"{where}: {err}") from err
+
+
+@lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """(name, annotation, required) of each field of the dataclass ``cls``."""
+    return tuple((f.name, f.type, f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))

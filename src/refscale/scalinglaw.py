@@ -58,11 +58,18 @@ def fit_artifacts(cells: Sequence[ObservationCell],
     """The fit stage's artifacts by file name, from the scored ``cells`` and the
     ``grouped`` references they were scored from: the fits and the sweep around
     the ``baseline`` PARTIAL weight over the cells on the fit (those with P),
-    per-model Spearman, regimes, and the fitted curve. A cell without S fails."""
+    per-model Spearman, regimes, and the fitted curve. A cell without S fails, and
+    so do cells on the fit that are none, or share one P or one S."""
     missing_s = sorted({c.topic for c in cells if c.log10_s is None})
     if missing_s:
         raise IngestError("cells missing works count for topic(s): " + ", ".join(missing_s))
     fitted = [c for c in cells if c.log10_p is not None]
+    if not fitted:
+        raise IngestError("no cell is on the fit: no model has a parameter count")
+    for axis, values in (("P", {c.log10_p for c in fitted}), ("S", {c.log10_s for c in fitted})):
+        if len(values) < 2:
+            raise IngestError(f"the {len(fitted)} cell(s) on the fit share one {axis} (log10 "
+                              f"{axis} = {min(values):g}); the fit needs two distinct values")
     population = fit_population(fitted)
     by_model: Dict[str, List[ObservationCell]] = {}
     for cell in cells:

@@ -83,6 +83,17 @@ class TestParse:
         assert ref.venue is None
         assert ref.title == "Only a title"
 
+    def test_period_inside_parentheses_does_not_end_title(self):
+        ref = parse_apa("Lund, P. (2014). Yields after drought (see Fig. 2) in the Sahel. "
+                        "Journal of Arid Lands.")
+        assert ref.title == "Yields after drought (see Fig. 2) in the Sahel"
+        assert ref.venue == "Journal of Arid Lands"
+
+    def test_state_abbreviation_does_not_end_title(self):
+        ref = parse_apa("Lund, P. (2014). Water rights in the U.S. West. Water Research.")
+        assert ref.title == "Water rights in the U.S. West"
+        assert ref.venue == "Water Research"
+
     def test_doi_bare_form(self):
         ref = parse_apa("Ivanova, L. (2001). T i t l e. Venue. doi: 10.1000/xyz123")
         assert ref.identifier.startswith("10.1000") or "doi" in ref.identifier.lower()

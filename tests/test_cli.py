@@ -105,6 +105,29 @@ class TestExitCodes:
     def test_missing_required_config(self, tmp_path):
         assert main(["verify", "--output-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command", ["ingest", "verify", "score", "fit", "citetail",
+                                         "report"])
+    def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--fixtures", str(DEMO_FIXTURES), "--output-dir", str(out)]) == 1
+        assert "missing required config value(s): dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_without_fixtures_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--dataset", str(DEMO_DATASET), "--output-dir", str(out)]) == 1
+        assert "missing required config value(s): fixtures" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theory_needs_only_the_output_dir(self, tmp_path, pipeline_out):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_out / "fit_report.json", out)
+        assert main(["theory", "--output-dir", str(out)]) == 0
+        doc, ref = (json.loads((d / "theory_report.json").read_text())
+                    for d in (out, pipeline_out))
+        assert {**doc, "meta": None} == {**ref, "meta": None}
+
     def test_unknown_flag(self, tmp_path):
         assert main(["verify", *_args(tmp_path), "--nonsense"]) == 1
 
@@ -286,7 +309,7 @@ class TestExitCodes:
         (lambda doc: {**doc, "models": {}},
          "models: expected a list of records, got a dict"),
         (lambda doc: {**doc, "topics": [None]},
-         "topics[0]: expected an object, got None"),
+         "topics[0]: must be an object, got NoneType"),
         (lambda doc: {**doc, "generations": [
             {**doc["generations"][0], "model": ["nano-1b"]}]},
          "generations[0]: model must be a string, got ['nano-1b']"),
@@ -297,9 +320,39 @@ class TestExitCodes:
             {"name": "nano-1b", "family": "Alpha", "architecture": "moe",
              "total_params": -5}, *doc["models"][1:]]},
          "models[0]: nano-1b: total_params must be positive"),
+        (lambda doc: {**doc, "models": [{**doc["models"][0], "params": 0},
+                                        *doc["models"][1:]]},
+         "models[0]: nano-1b: params must be positive"),
+        (lambda doc: {**doc, "models": [{k: v for k, v in doc["models"][0].items()
+                                         if k != "family"}, *doc["models"][1:]]},
+         "models[0]: missing field 'family'"),
+        (lambda doc: {**doc, "topics": [{**doc["topics"][0], "works_count": -1},
+                                        *doc["topics"][1:]]},
+         "topics[0]: Climate change: works_count must be non-negative"),
+        (lambda doc: {**doc, "topics": [*doc["topics"], doc["topics"][0]]},
+         "topics[6]: duplicate name 'Climate change' (first at topics[0])"),
+        (lambda doc: {**doc, "generations": [
+            {**doc["generations"][0], "topic": "Ghost topic"}, *doc["generations"][1:]]},
+         "generations[0]: unknown topic key 'Ghost topic'"),
+        (lambda doc: {**doc, "generations": [*doc["generations"], doc["generations"][0]]},
+         "generations[24]: duplicate model, topic ('nano-1b', 'Climate change') "
+         "(first at generations[0])"),
+        (lambda doc: {**doc, "relevance_labels": [
+            {**doc["relevance_labels"][0], "model": "ghost-9b"}]},
+         "relevance_labels[0]: unknown model key 'ghost-9b'"),
+        (lambda doc: {**doc, "relevance_labels": [
+            *doc["relevance_labels"], {**doc["relevance_labels"][1], "label": "NO"}]},
+         "relevance_labels[230]: duplicate model, topic, reference_index "
+         "('nano-1b', 'Climate change', 1) (first at relevance_labels[1])"),
+        (lambda doc: {**doc, "relevance_labels": [
+            {**doc["relevance_labels"][0], "label": "MAYBE"}]},
+         "relevance_labels[0]: label must be YES, PARTIAL or NO, got 'MAYBE'"),
     ], ids=["top-level-list", "label-without-index", "label-index-string",
             "params-string", "params-nan", "params-infinity", "models-object",
-            "topic-null", "model-list", "n-requested-negative", "total-params-negative"])
+            "topic-null", "model-list", "n-requested-negative", "total-params-negative",
+            "params-zero", "model-without-family", "works-count-negative", "duplicate-topic",
+            "generation-unknown-topic", "duplicate-generation", "label-unknown-model",
+            "duplicate-label", "label-value"])
     def test_malformed_dataset(self, tmp_path, capsys, edit, message):
         path = tmp_path / "dataset.json"
         path.write_text(json.dumps(edit(json.loads(DEMO_DATASET.read_text()))))
@@ -310,6 +363,7 @@ class TestExitCodes:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rec: {k: v for k, v in rec.items() if k != "cited_by_count"},
@@ -542,6 +596,28 @@ class TestFitScoresItsOwnCells:
         assert [f"{r2:.8g}"] == [row[1] for row in rows if row[0] == "0.5"]
 
 
+    @pytest.mark.parametrize("params, message", [
+        (None, "error: no cell is on the fit: no model has a parameter count"),
+        (8.0, "error: the 23 cell(s) on the fit share one P (log10 P = 0.90309); "
+              "the fit needs two distinct values"),
+    ], ids=["no-params", "equal-params"])
+    def test_population_that_cannot_be_fitted(self, tmp_path, capsys, params, message):
+        doc = json.loads(DEMO_DATASET.read_text())
+        for model in doc["models"]:
+            model.update(params=params, architecture="dense")
+            model.pop("total_params", None)
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["--dataset", str(dataset), "--fixtures", str(DEMO_FIXTURES),
+                "--output-dir", str(out)]
+        assert main(["verify", *args]) == 0
+        capsys.readouterr()
+        assert main(["fit", *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not any((out / name).exists() for name in FIT_ARTIFACTS)
+
+
 class TestAtomicArtifacts:
     def test_mode_follows_umask(self, tmp_path, umask):
         out = tmp_path / "out"
@@ -587,10 +663,12 @@ class TestConfigFile:
         ('{"overlap_threshold": -0.1}', "overlap_threshold must be in [0, 1]"),
         ('{"contradiction_penalty": 5}', "contradiction_penalty must be at most 0"),
         ('{"seed": -1}', "seed must be at least 0"),
+        ('{"partial_weight": 2}', "partial_weight must be in [0, 1]"),
+        ('{"moe_convention": "median"}', "moe_convention must be 'total' or 'active'"),
     ], ids=["list", "unknown-key", "seed-string", "offline-string",
             "partial-weight-null", "not-json", "overlap-threshold-above-1",
             "overlap-threshold-below-0", "contradiction-penalty-positive",
-            "seed-negative"])
+            "seed-negative", "partial-weight-above-1", "moe-convention-median"])
     def test_malformed_config_file(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -707,6 +785,13 @@ class TestZipfCommand:
         doc = json.loads((out / "zipf_report.json").read_text())
         assert doc["alpha_ols"] == pytest.approx(1.23, abs=1e-6)
         assert (out / "zipf_rolling.csv").exists()
+
+    def test_zipf_needs_only_the_output_dir_and_counts(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,50\nb,20\nc,9\nd,4\n")
+        assert main(["zipf", "--output-dir", str(tmp_path / "out"),
+                     "--counts", str(counts)]) == 0
+        assert (tmp_path / "out" / "zipf_report.json").exists()
 
     @pytest.mark.parametrize("text, code, message", [
         ("concept,count\nsolo\na,5\n", 2, "line 2 has no count column: 'solo'"),

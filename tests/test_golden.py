@@ -24,6 +24,7 @@ import os
 import shutil
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -103,11 +104,44 @@ def run_manifest(corpus: str, root: Path, drop_fixtures: bool = False) -> str:
     )
 
 
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """(manifest, output directory) of a corpus's run, made once per module."""
+    runs = {}
+
+    def run(corpus: str):
+        if corpus not in runs:
+            root = tmp_path_factory.mktemp(corpus)
+            runs[corpus] = run_manifest(corpus, root), root / "out"
+        return runs[corpus]
+    return run
+
+
 @pytest.mark.parametrize("corpus", sorted(RUNS))
-def test_bundle_matches_golden_manifest(corpus, tmp_path):
-    got = run_manifest(corpus, tmp_path)
+def test_bundle_matches_golden_manifest(corpus, bundle):
+    got, _ = bundle(corpus)
     expected = (GOLDEN / f"{corpus}.sha256").read_text()
     assert got.splitlines() == expected.splitlines()
+
+
+@pytest.mark.parametrize("corpus", sorted(RUNS))
+def test_funnel_invariants(corpus, bundle):
+    """requested >= produced >= analysed; the status counts and the lines of
+    verification.jsonl each number analysed; and citetail accounts for each
+    model's lines as matched or excluded by status."""
+    _, out = bundle(corpus)
+    doc = json.loads((out / "accounting.json").read_text())
+    acct = doc["accounting"]
+    assert acct["requested"] >= acct["produced"] >= acct["analysed"] > 0
+    assert sum(doc["status_counts"].values()) == acct["analysed"]
+    lines = [json.loads(line) for line in
+             (out / "verification.jsonl").read_text().splitlines()]
+    assert len(lines) == acct["analysed"]
+    citetail = json.loads((out / "citetail_report.json").read_text())
+    if "accounting" in citetail:
+        assert {model: a["n_matched"] + a["n_excluded_status"]
+                for model, a in citetail["accounting"].items()} == \
+            Counter(line["model"] for line in lines)
 
 
 def test_ttail_takes_the_t_tail_and_records_parse_failures(tmp_path):

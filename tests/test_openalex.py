@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import re
 import stat
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
 from refscale import openalex
+from refscale.cli import main
 from refscale.openalex import (
     ExternalWork,
     FixtureCache,
@@ -16,7 +19,7 @@ from refscale.openalex import (
 from refscale.records import IngestError, build_record
 from refscale.verification import match_work
 
-from conftest import make_fixture
+from conftest import DEMO_DATASET, DEMO_FIXTURES, make_fixture
 
 
 class TestFingerprint:
@@ -174,7 +177,7 @@ class TestClientOffline:
         ([], "no 'results' list"),
         (None, "no 'results' list"),
         ({"results": ["W1"]}, "must be an object, got str"),
-        ({"results": [{"title": "t"}]}, "missing 1 required positional argument: 'id'"),
+        ({"results": [{"title": "t"}]}, "results[0]: missing field 'id'"),
         ({"results": [{"id": "W1", "cited_by_count": "many"}]},
          "cited_by_count must be an integer, got 'many'"),
     ])
@@ -182,7 +185,7 @@ class TestClientOffline:
         make_fixture(tmp_path, "works_search", {"title": "t"}, body)
         fp = request_fingerprint("works_search", {"title": "t"})
         client = OpenAlexClient(fixtures=tmp_path, offline=True)
-        with pytest.raises(IOError, match=f"corrupt fixture .*{fp}.json: .*{message}"):
+        with pytest.raises(IOError, match=f"corrupt fixture .*{fp}.json: .*{re.escape(message)}"):
             client.search_candidates("t")
 
 
@@ -286,6 +289,16 @@ class TestLiveFetch:
         client.search_candidates("A study")
         assert sleeps == [7.0, 0.0]
 
+    def test_unreadable_and_zoneless_retry_after(self, live):
+        # An unreadable value falls back to the 1 s back-off; a date without
+        # a zone is read as UTC.
+        client, replies, calls, sleeps = live
+        replies += [(429, {"retry-after": "soon"}, b""),
+                    (429, {"retry-after": "Thu, 01 Jan 1970 00:00:00"}, b""),
+                    self.ok()]
+        client.search_candidates("A study")
+        assert sleeps == [1.0, 0.0]
+
     def test_long_retry_after_fails_at_once(self, live):
         client, replies, calls, sleeps = live
         replies.append((429, {"retry-after": "86400"}, b""))
@@ -312,6 +325,52 @@ class TestLiveFetch:
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         assert openalex._http_get("https://x.invalid/", 1.0) == (
             429, {"retry-after": "3"}, b"slow")
+
+
+def _service_payload(body: dict) -> dict:
+    """A works_search fixture body as the service sends it."""
+    return {"results": [
+        {"id": w["id"], "title": w["title"], "publication_year": w["year"],
+         "primary_location": {"source": {"display_name": w["venue"]}},
+         "authorships": [{"author": {"display_name": a}} for a in w["authors"]],
+         "doi": w["doi"], "cited_by_count": w["cited_by_count"]}
+        for w in body["results"]]}
+
+
+class TestRecordThenReplay:
+    """verify --live records every response it fetches, and verify offline on
+    those recordings gives the bundle the committed fixtures give. The service
+    is a scripted ``_http_get`` answering from the demo fixtures' bodies."""
+
+    def test_live_run_replays_offline(self, tmp_path, monkeypatch):
+        demo = {e["fingerprint"]: e for e in (json.loads(p.read_text())
+                                              for p in sorted(DEMO_FIXTURES.glob("*.json")))}
+        bodies = {e["request"]["params"]["title"]: e["body"] for e in demo.values()
+                  if e["request"]["endpoint"] == "works_search"}
+        asked = []
+
+        def service(url, timeout):
+            title = parse_qs(urlsplit(url).query)["search"][0]
+            asked.append(title)
+            return 200, {}, json.dumps(_service_payload(bodies[title])).encode()
+
+        def offline(url, timeout):
+            raise AssertionError(f"network call in an offline run: {url}")
+
+        recorded = tmp_path / "recorded"
+        runs = {"committed": (DEMO_FIXTURES, [], offline),
+                "live": (recorded, ["--live", "--rate-limit", "0"], service),
+                "replay": (recorded, [], offline)}
+        for run, (fixtures, flags, http_get) in runs.items():
+            monkeypatch.setattr(openalex, "_http_get", http_get)
+            assert main(["verify", "--dataset", str(DEMO_DATASET), "--fixtures", str(fixtures),
+                         "--output-dir", str(tmp_path / run), *flags]) == 0
+        assert sorted(asked) == sorted(bodies)
+        for path in recorded.glob("*.json"):
+            assert json.loads(path.read_text())["body"] == demo[path.stem]["body"]
+        assert len(list(recorded.glob("*.json"))) == len(bodies)
+        lines = {run: (tmp_path / run / "verification.jsonl").read_bytes() for run in runs}
+        assert lines["live"] == lines["replay"] == lines["committed"]
 
 
 class TestRateLimiter:

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -49,3 +51,16 @@ def test_cell_without_works_count_is_refused():
     cells.append(ObservationCell("m8", "no-works", math.log10(8.0), None, 0.5))
     with pytest.raises(IngestError, match=r"^cells missing works count for topic\(s\): no-works$"):
         fit_artifacts(cells, grouped, baseline=0.5)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: replace(c, log10_p=None), "no cell is on the fit: no model has a parameter count"),
+    (lambda c: replace(c, log10_p=1.0),
+     "the 35 cell(s) on the fit share one P (log10 P = 1); the fit needs two distinct values"),
+    (lambda c: replace(c, log10_s=4.0) if c.log10_p is not None else c,
+     "the 30 cell(s) on the fit share one S (log10 S = 4); the fit needs two distinct values"),
+], ids=["no-p", "one-p", "one-s"])
+def test_population_that_cannot_be_fitted_is_refused(edit, message):
+    cells, grouped = _law_corpus()
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        fit_artifacts([edit(c) for c in cells], grouped, baseline=0.5)

@@ -57,6 +57,12 @@ class TestClassifyField:
     def test_author_wrong_initial_contradiction(self):
         assert classify_field("authors", ["Dahl, Q."], ["Dahl, Robert A."]) is V.CONTRADICTION
 
+    def test_author_without_given_names_is_abbrev(self):
+        assert classify_field("authors", ["Smith"], ["Smith, J."]) is V.ABBREV
+
+    def test_identifier_within_longer_identifier_contains(self):
+        assert classify_field("identifier", "10.1/abc", "10.1/abc.supp") is V.CONTAINS
+
     def test_identifier_doi_prefix_stripped(self):
         got = classify_field("identifier", "https://doi.org/10.1/ABC",
                              "doi: 10.1/abc")
@@ -246,6 +252,6 @@ class TestResultsJsonl:
     def test_read_inverts_write(self, results, title):
         refs = {key: _ref(title=title) for key in results}
         with tempfile.TemporaryDirectory() as tmp:
-            write_artifacts(RunConfig("", "", tmp),
+            write_artifacts(RunConfig(output_dir=tmp),
                             {"verification.jsonl": results_to_jsonl(results, refs)})
             assert results_from_jsonl(Path(tmp) / "verification.jsonl") == results

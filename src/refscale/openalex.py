@@ -80,8 +80,11 @@ class FixtureCache:
     torn entry and two writers of one fingerprint never share a temp file.
 
     Each instance reads an entry from disk once and then serves the decoded
-    entry from memory; callers must not mutate it. Misses and corrupt files
-    are not remembered, so they are looked up, and raise, on every call.
+    entry from memory; callers must not mutate it. Of a body with a
+    ``results`` list, memory holds only the top-ranked result, the only one
+    a search is matched against; lower ranks stay on disk. Other bodies are
+    held whole. Misses and corrupt files are not remembered, so they are
+    looked up, and raise, on every call.
     """
 
     def __init__(self, directory: Path):
@@ -108,6 +111,9 @@ class FixtureCache:
             raise IOError(f"corrupt fixture {path}: {err}") from err
         if not isinstance(entry, dict) or "body" not in entry:
             raise IOError(f"corrupt fixture {path}: no 'body' field")
+        body = entry["body"]
+        if isinstance(body, dict) and isinstance(body.get("results"), list):
+            del body["results"][1:]
         self._entries[fingerprint] = entry
         return entry
 

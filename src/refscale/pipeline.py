@@ -5,7 +5,7 @@ aggregate into cells. The CLI's commands call these and write the results."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .citations import ParseFailure, ParsedReference, parse_apa, split_reference_list
 from .dataset import Dataset, ObservationCell, dedup_cell
@@ -70,23 +70,32 @@ class FixtureMissBatch(RuntimeError):
 
 
 def parse_corpus(dataset: Dataset) -> ParsedCorpus:
-    """Split, parse, and deduplicate every generation in the dataset."""
+    """Split, parse, and deduplicate every generation in the dataset. Each
+    distinct entry string is parsed once; every occurrence of it gets that
+    parse, or its own failure record."""
     refs: Dict[RefKey, ParsedReference] = {}
     acct = Accounting()
     failures: List[dict] = []
+    parses: Dict[str, Union[ParsedReference, ParseFailure]] = {}
     for gen in dataset.generations:
         acct.requested += gen.n_requested
-        entries = split_reference_list(gen.raw_text)
         parsed: List[Tuple[int, ParsedReference]] = []
-        for idx, entry in enumerate(entries):
-            try:
-                parsed.append((idx, parse_apa(entry)))
-            except ParseFailure as err:
+        for idx, entry in enumerate(split_reference_list(gen.raw_text)):
+            ref = parses.get(entry)
+            if ref is None:
+                try:
+                    ref = parse_apa(entry)
+                except ParseFailure as err:
+                    ref = err.with_traceback(None)
+                parses[entry] = ref
+            if isinstance(ref, ParseFailure):
                 acct.parse_failures += 1
                 failures.append(
                     {"model": gen.model, "topic": gen.topic, "index": idx,
-                     "raw": err.raw, "reason": err.reason}
+                     "raw": ref.raw, "reason": ref.reason}
                 )
+            else:
+                parsed.append((idx, ref))
         acct.produced += len(parsed)
         kept = dedup_cell([r for _, r in parsed])
         for pos in kept:

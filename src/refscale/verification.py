@@ -252,8 +252,6 @@ def _venue_abbreviation(claimed: str, candidate: str) -> bool:
     if not a or not b or len(a) != len(b):
         return False
     short, full = (a, b) if sum(map(len, a)) <= sum(map(len, b)) else (b, a)
-    if short == full:
-        return False
     return all(f.startswith(s) for s, f in zip(short, full))
 
 

@@ -1,5 +1,5 @@
-"""Reference implementations that the statistics, theory and verify hot
-paths replaced, and the ``observations.csv`` reader that ``fit`` took its
+"""Reference implementations that the statistics, theory, parse and verify
+hot paths replaced, and the ``observations.csv`` reader that ``fit`` took its
 cells from.
 
 Each is the earlier code, kept verbatim where it can be, so that the faster
@@ -37,9 +37,10 @@ import mpmath
 import numpy as np
 from scipy import stats as sps
 
-from refscale.dataset import _CELL_COLUMNS, ObservationCell
+from refscale.citations import ParseFailure, parse_apa, split_reference_list
+from refscale.dataset import _CELL_COLUMNS, ObservationCell, dedup_cell
 from refscale.openalex import ExternalWork, FixtureMiss, request_fingerprint
-from refscale.pipeline import FixtureMissBatch
+from refscale.pipeline import Accounting, FixtureMissBatch, ParsedCorpus
 from refscale.records import IngestError
 from refscale.stats import _rho_and_ranks, fit_ols, fit_sigmoid
 from refscale.verification import (
@@ -371,6 +372,36 @@ def verify_corpus(corpus, fixtures, stopwords, overlap_threshold=0.5,
     if misses:
         raise FixtureMissBatch(misses)
     return results
+
+
+# -- parse: every split entry parsed where it occurs ---------------------------
+
+def parse_corpus(dataset) -> ParsedCorpus:
+    """Split, parse, and deduplicate every generation in the dataset."""
+    refs = {}
+    acct = Accounting()
+    failures = []
+    for gen in dataset.generations:
+        acct.requested += gen.n_requested
+        entries = split_reference_list(gen.raw_text)
+        parsed = []
+        for idx, entry in enumerate(entries):
+            try:
+                parsed.append((idx, parse_apa(entry)))
+            except ParseFailure as err:
+                acct.parse_failures += 1
+                failures.append(
+                    {"model": gen.model, "topic": gen.topic, "index": idx,
+                     "raw": err.raw, "reason": err.reason}
+                )
+        acct.produced += len(parsed)
+        kept = dedup_cell([r for _, r in parsed])
+        for pos in kept:
+            idx, ref = parsed[pos]
+            refs[(gen.model, gen.topic, idx)] = ref
+        acct.dedup_removed += len(parsed) - len(kept)
+        acct.analysed += len(kept)
+    return ParsedCorpus(refs=refs, accounting=acct, failures=failures)
 
 
 # -- fit's cells, read back from the observations.csv that score wrote -------

@@ -20,6 +20,7 @@ from refscale.records import IngestError, build_record
 from refscale.verification import match_work
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, make_fixture
+from test_golden import set_up
 
 
 class TestFingerprint:
@@ -115,6 +116,56 @@ class TestCache:
         make_fixture(tmp_path, "e", {}, {"count": 2})
         assert cache.get(fp) is first
         assert FixtureCache(tmp_path).get(fp)["body"] == {"count": 2}
+
+    def test_search_entry_memoised_with_rank_one_only(self, tmp_path):
+        works = [{"id": f"W{rank}", "title": f"t{rank}"} for rank in range(1, 26)]
+        make_fixture(tmp_path, "works_search", {"title": "t"}, {"results": works})
+        fp = request_fingerprint("works_search", {"title": "t"})
+        cache = FixtureCache(tmp_path)
+        entry = cache.get(fp)
+        assert entry["body"] == {"results": works[:1]}
+        assert entry["request"] == {"endpoint": "works_search", "params": {"title": "t"}}
+        assert cache.get(fp) is entry
+        on_disk = json.loads((tmp_path / f"{fp}.json").read_text())
+        assert on_disk["body"]["results"] == works
+
+    @pytest.mark.parametrize("corpus", ["demo", "ttail"])
+    def test_top_result_same_as_from_full_entry(self, tmp_path, corpus):
+        set_up(corpus, tmp_path)
+        fixtures = tmp_path / "fixtures"
+        client = OpenAlexClient(fixtures=fixtures, offline=True)
+        ranks = []
+        for path in sorted(fixtures.glob("*.json")):
+            entry = json.loads(path.read_text())
+            if entry["request"]["endpoint"] != "works_search":
+                continue
+            results = entry["body"]["results"]
+            ranks.append(len(results))
+            want = build_record(ExternalWork, "results[0]", results[0]) if results else None
+            title = entry["request"]["params"]["title"]
+            assert client.search_candidates(title) == want  # read from disk
+            assert client.search_candidates(title) == want  # served from memory
+        # demo's searches hold no result or one; ttail's hold five each.
+        assert set(ranks) == ({0, 1} if corpus == "demo" else {5})
+
+    @pytest.mark.parametrize("results", ["W1", {"0": {"id": "W1"}}, None])
+    def test_results_not_a_list_kept_and_raises_every_time(self, tmp_path, results):
+        make_fixture(tmp_path, "works_search", {"title": "t"}, {"results": results})
+        fp = request_fingerprint("works_search", {"title": "t"})
+        client = OpenAlexClient(fixtures=tmp_path, offline=True)
+        for _ in range(2):
+            with pytest.raises(IOError, match=f"corrupt fixture .*{fp}.json: .*no 'results' list"):
+                client.search_candidates("t")
+            assert client.cache.get(fp)["body"] == {"results": results}
+
+    def test_count_entry_kept_whole(self, tmp_path):
+        params = {"search": "malaria", "quoted": True}
+        make_fixture(tmp_path, "works_count", params, {"count": 1234})
+        fp = request_fingerprint("works_count", params)
+        on_disk = json.loads((tmp_path / f"{fp}.json").read_text())
+        cache = FixtureCache(tmp_path)
+        assert cache.get(fp) == on_disk
+        assert cache.get(fp) == on_disk
 
     def test_get_after_put_returns_new_entry(self, tmp_path):
         cache = FixtureCache(tmp_path)

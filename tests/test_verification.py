@@ -84,6 +84,11 @@ class TestClassifyField:
                              "Journal of Applied Field Studies")
         assert got is V.ABBREV
 
+    def test_venue_differing_only_by_stop_words(self):
+        assert classify_field("venue", "Journal of Ecology", "Journal Ecology") is V.ABBREV
+        assert classify_field("venue", "Annals of the Physics",
+                              "Annals Physics") is V.ABBREV
+
     def test_venue_plain_mismatch(self):
         assert classify_field("venue", "Nature", "Science") is V.CONTRADICTION
 

@@ -1,7 +1,10 @@
 """`verify_corpus` and its per-title memos against the per-reference loop
-they replaced (``tests/oracles.py``): every comparison is exact equality."""
+they replaced (``tests/oracles.py``): every comparison is exact equality.
+A demo ``verify`` reads each fixture file from disk once."""
 
+import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from refscale.citations import ParsedReference, content_words, normalize_title
-from refscale.openalex import OpenAlexClient, request_fingerprint
+from refscale.cli import main
+from refscale.openalex import FixtureCache, OpenAlexClient, request_fingerprint
 from refscale.pipeline import Accounting, FixtureMissBatch, ParsedCorpus, verify_corpus
 
-from conftest import make_fixture
+from conftest import DEMO_DATASET, DEMO_FIXTURES, make_fixture
 
 # Title words: ASCII, precomposed and decomposed diacritics, a ligature, a
 # compatibility digit, Greek and CJK, plus stopwords.
@@ -132,3 +136,28 @@ class TestMissBatch:
             request_fingerprint("works_search", {"title": t}) for t in titles]
         assert [m.params["title"] for m in err.value.misses] == titles
         assert str(err.value).startswith("3 fixture miss(es):")
+
+
+class TestFixtureReads:
+    def test_verify_reads_each_fixture_once(self, tmp_path, monkeypatch):
+        reads = Counter()
+        gets = []
+        read_text, get = Path.read_text, FixtureCache.get
+
+        def counting_read(path, *args, **kwargs):
+            if path.parent == DEMO_FIXTURES:
+                reads[path.stem] += 1
+            return read_text(path, *args, **kwargs)
+
+        def counting_get(cache, fingerprint):
+            gets.append(fingerprint)
+            return get(cache, fingerprint)
+
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        monkeypatch.setattr(FixtureCache, "get", counting_get)
+        out = tmp_path / "out"
+        assert main(["verify", "--dataset", str(DEMO_DATASET), "--fixtures",
+                     str(DEMO_FIXTURES), "--output-dir", str(out)]) == 0
+        analysed = json.loads((out / "accounting.json").read_text())["accounting"]["analysed"]
+        assert len(gets) == analysed > len(set(gets))
+        assert reads == Counter(set(gets))

@@ -143,8 +143,8 @@ def write_artifacts(config: RunConfig, artifacts: Dict[str, object]) -> None:
             writer.writerows(rows)
             atomic_write(out / name, buf.getvalue())
         else:
-            atomic_write(out / name, "".join(json.dumps(rec, sort_keys=True) + "\n"
-                                             for rec in content))
+            atomic_write(out / name, (json.dumps(rec, sort_keys=True) + "\n"
+                                      for rec in content))
 
 
 class RunContext:

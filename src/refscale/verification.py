@@ -90,12 +90,13 @@ _LINE_FIELDS = (("model", "str"), ("topic", "str"), ("index", "int"),
                 ("cited_by_count", "Optional[int]"))
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationResult:
     """Per-field verdicts plus the derived score and status for one reference.
 
     ``cited_by_count`` is the matched work's citation count, None when no
-    candidate was matched.
+    candidate was matched. The verdict map is read-only: the results that
+    ``results_from_jsonl`` loads share one map per distinct set of verdicts.
     """
 
     verdicts: Dict[str, FieldVerdict]
@@ -122,34 +123,55 @@ def results_to_jsonl(results: Mapping[RefKey, VerificationResult],
 
 
 def results_from_jsonl(path) -> Dict[RefKey, VerificationResult]:
-    """Read ``verification.jsonl`` back, keyed by (model, topic, index). A line
-    that is not JSON, lacks a key, or has a field of the wrong type or outside
-    its values raises IngestError naming the file and the line."""
+    """Read ``verification.jsonl`` back line by line, keyed by (model, topic,
+    index). A line that is not UTF-8 or not JSON, lacks a key, has a field of
+    the wrong type or outside its values, or repeats an earlier line's key
+    raises IngestError naming the file and the line. A line ends at ``\\n``
+    only, so a raw U+2028 inside a string stays in the string. Equal verdict
+    sets share one map, and equal model, topic and matched-candidate strings
+    one string."""
     path = Path(path)
     results: Dict[RefKey, VerificationResult] = {}
-    for n, line in enumerate(path.read_text().splitlines(), 1):
-        try:
-            rec = json.loads(line)
-            for name, annotation in _LINE_FIELDS:
-                check_type("record", name, rec[name], annotation)
-            if not 0.0 <= rec["authenticity"] <= 1.0:
-                raise ValueError(f"authenticity must be in [0, 1], got {rec['authenticity']!r}")
-            raw = rec["verdicts"]
-            if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
-                raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+    verdict_maps: Dict[tuple, Dict[str, FieldVerdict]] = {}
+    strings: Dict[Optional[str], Optional[str]] = {}
+    with path.open("rb") as handle:
+        for n, line in enumerate(handle, 1):
             try:
-                verdicts = {k: _VERDICTS[v] for k, v in raw.items()}
-            except (KeyError, TypeError):
-                raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
-            status = rec["status"]
-            if not isinstance(status, str) or status not in _STATUSES:
-                raise ValueError(f"status: unknown value {status!r}")
-            results[(rec["model"], rec["topic"], rec["index"])] = VerificationResult(
+                rec = json.loads(line.rstrip(b"\r\n").decode("utf-8"))
+                for name, annotation in _LINE_FIELDS:
+                    check_type("record", name, rec[name], annotation)
+                if not 0.0 <= rec["authenticity"] <= 1.0:
+                    raise ValueError(
+                        f"authenticity must be in [0, 1], got {rec['authenticity']!r}")
+                raw = rec["verdicts"]
+                if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
+                    raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+                try:
+                    # An unhashable verdict fails the lookup with the same message.
+                    verdicts = verdict_maps.get(items := tuple(raw.items()))
+                    if verdicts is None:
+                        verdicts = verdict_maps[items] = {k: _VERDICTS[v] for k, v in items}
+                except (KeyError, TypeError):
+                    raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
+                status = rec["status"]
+                if not isinstance(status, str) or status not in _STATUSES:
+                    raise ValueError(f"status: unknown value {status!r}")
+            except UnicodeDecodeError as err:
+                raise IngestError(f"{path}: line {n}: not UTF-8 ({err.reason} at byte "
+                                  f"{err.start + 1} of the line); re-run verify") from err
+            except (KeyError, TypeError, ValueError) as err:
+                raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
+                                  "re-run verify") from err
+            model, topic, candidate = rec["model"], rec["topic"], rec["matched_candidate"]
+            key = (strings.setdefault(model, model), strings.setdefault(topic, topic),
+                   rec["index"])
+            if key in results:
+                # Each earlier line holds one key, so a key's position is its line.
+                raise IngestError(f"{path}: line {n}: duplicate key {key!r} (first at line "
+                                  f"{list(results).index(key) + 1}); re-run verify")
+            results[key] = VerificationResult(
                 verdicts, rec["authenticity"], _STATUSES[status],
-                rec["matched_candidate"], rec["cited_by_count"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
-                              "re-run verify") from err
+                strings.setdefault(candidate, candidate), rec["cited_by_count"])
     return results
 
 

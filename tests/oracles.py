@@ -4,9 +4,9 @@ cells from.
 
 Each is the earlier code, kept verbatim where it can be, so that the faster
 versions in ``refscale.stats``, ``refscale.zipflaw``, ``refscale.theory``,
-``refscale.citations`` and ``refscale.pipeline``, and the in-memory cells of
-``refscale.dataset.rounded_cells``, can be checked against it for exact
-equality.
+``refscale.citations``, ``refscale.pipeline`` and ``refscale.verification``,
+and the in-memory cells of ``refscale.dataset.rounded_cells``, can be checked
+against it for exact equality.
 Three are declared exceptions, held to a stated error instead:
 
 - The closed-form median bootstrap is the limit of ``bootstrap_median_ci``
@@ -41,9 +41,13 @@ from refscale.citations import ParseFailure, parse_apa, split_reference_list
 from refscale.dataset import _CELL_COLUMNS, ObservationCell, dedup_cell
 from refscale.openalex import ExternalWork, FixtureMiss, request_fingerprint
 from refscale.pipeline import Accounting, FixtureMissBatch, ParsedCorpus
-from refscale.records import IngestError
+from refscale.records import IngestError, check_type
 from refscale.stats import _rho_and_ranks, fit_ols, fit_sigmoid
 from refscale.verification import (
+    _FIELD_KIND_SET,
+    _LINE_FIELDS,
+    _STATUSES,
+    _VERDICTS,
     FIELD_KINDS,
     FieldVerdict,
     Status,
@@ -428,3 +432,37 @@ def load_cells(path) -> List[ObservationCell]:
                 raise IngestError(f"{path}: line {reader.line_num}: {err}; "
                                   "re-run score") from err
     return cells
+
+
+# -- report's results, read whole and split into lines -----------------------
+
+def results_from_jsonl(path):
+    """Read ``verification.jsonl`` back, keyed by (model, topic, index). A line
+    that is not JSON, lacks a key, or has a field of the wrong type or outside
+    its values raises IngestError naming the file and the line."""
+    path = Path(path)
+    results = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            rec = json.loads(line)
+            for name, annotation in _LINE_FIELDS:
+                check_type("record", name, rec[name], annotation)
+            if not 0.0 <= rec["authenticity"] <= 1.0:
+                raise ValueError(f"authenticity must be in [0, 1], got {rec['authenticity']!r}")
+            raw = rec["verdicts"]
+            if not isinstance(raw, dict) or raw.keys() != _FIELD_KIND_SET:
+                raise ValueError(f"verdicts must map {', '.join(FIELD_KINDS)}, got {raw!r}")
+            try:
+                verdicts = {k: _VERDICTS[v] for k, v in raw.items()}
+            except (KeyError, TypeError):
+                raise ValueError(f"verdicts: unknown verdict in {raw!r}") from None
+            status = rec["status"]
+            if not isinstance(status, str) or status not in _STATUSES:
+                raise ValueError(f"status: unknown value {status!r}")
+            results[(rec["model"], rec["topic"], rec["index"])] = VerificationResult(
+                verdicts, rec["authenticity"], _STATUSES[status],
+                rec["matched_candidate"], rec["cited_by_count"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise IngestError(f"{path}: line {n}: unreadable record ({err!r}); "
+                              "re-run verify") from err
+    return results

@@ -53,3 +53,36 @@ def test_failed_write_removes_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write(path, "lone surrogate \ud800")
     assert os.listdir(tmp_path) == []
+
+
+# A chunk longer than the text handle's buffer, so that the temp file holds
+# bytes before a later chunk fails.
+LONG_CHUNK = "a line of earlier output\n" * 1000
+
+
+def test_chunks_written_as_their_joined_string(tmp_path):
+    chunks = ["a,b\r\n", "", "c,é\n", LONG_CHUNK, "  last, no newline"]
+    atomic_write(tmp_path / "joined.txt", "".join(chunks))
+    atomic_write(tmp_path / "chunks.txt", iter(chunks))
+    assert (tmp_path / "chunks.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()
+
+
+def test_failing_chunks_keep_the_old_file(tmp_path):
+    path = tmp_path / "verification.jsonl"
+    path.write_text("old\n")
+
+    def chunks():
+        yield LONG_CHUNK
+        raise KeyError("record")
+
+    with pytest.raises(KeyError, match="record"):
+        atomic_write(path, chunks())
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["verification.jsonl"]
+
+
+def test_failed_write_of_a_later_chunk_removes_temp_file(tmp_path):
+    path = tmp_path / "summary.txt"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(path, [LONG_CHUNK, "lone surrogate \ud800"])
+    assert os.listdir(tmp_path) == []

@@ -14,10 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import refscale
 from refscale import cli, pipeline, stats
 from refscale.cli import main
 from refscale.openalex import FixtureCache
+from refscale.records import IngestError
+from refscale.verification import results_from_jsonl
 
 from conftest import DEMO_DATASET, DEMO_FIXTURES, REPO
 from test_golden import PATHS, set_up
@@ -372,6 +375,10 @@ class TestExitCodes:
         (lambda rec: {**rec, "verdicts": None}, "verdicts must map title"),
         (lambda rec: {**rec, "verdicts": {**rec["verdicts"], "title": "close"}},
          "verdicts: unknown verdict"),
+        (lambda rec: {**rec, "verdicts": {**rec["verdicts"], "title": ["match"]}},
+         "verdicts: unknown verdict in {"),
+        (lambda rec: {**rec, "verdicts": {**rec["verdicts"], "title": 1}},
+         "verdicts: unknown verdict in {"),
         (lambda rec: {**rec, "status": "verified-ish"},
          "status: unknown value 'verified-ish'"),
         (lambda rec: {**rec, "authenticity": "0.5"},
@@ -396,8 +403,8 @@ class TestExitCodes:
         (lambda rec: {**rec, "index": 0.0}, "index must be an integer, got 0.0"),
         (lambda rec: {**rec, "index": True}, "index must be an integer, got True"),
     ], ids=["no-cited-by-count", "malformed", "verdicts-null", "unknown-verdict",
-            "unknown-status", "authenticity-string", "authenticity-bool",
-            "authenticity-nan", "authenticity-infinity", "authenticity-above-1",
+            "verdict-list", "verdict-number", "unknown-status", "authenticity-string",
+            "authenticity-bool", "authenticity-nan", "authenticity-infinity", "authenticity-above-1",
             "authenticity-below-0",
             "cited-by-count-string", "matched-candidate-number", "model-number",
             "topic-null", "index-string", "index-float", "index-bool"])
@@ -415,6 +422,43 @@ class TestExitCodes:
         assert f"{path}: line 2" in err
         assert message in err
         assert "re-run verify" in err
+        # The line-by-line loader refuses the line as the whole-file reader did.
+        with pytest.raises(IngestError) as streamed:
+            results_from_jsonl(path)
+        with pytest.raises(IngestError) as whole:
+            oracles.results_from_jsonl(path)
+        assert str(streamed.value) == str(whole.value)
+        assert err == f"error: {streamed.value}\n"
+
+    def test_duplicate_verification_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        path = out / "verification.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        lines.insert(1, json.dumps({**first, "authenticity": 0.0}) + "\n")
+        path.write_text("".join(lines))
+        key = (first["model"], first["topic"], first["index"])
+        capsys.readouterr()
+        for command in (["score"], ["citetail", "--min-n", "10"]):
+            assert main([*command, *_args(out)]) == 2, command
+            assert capsys.readouterr().err == (
+                f"error: {path}: line 2: duplicate key {key!r} (first at line 1); "
+                "re-run verify\n")
+
+    def test_verification_not_utf8(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", *_args(out)]) == 0
+        path = out / "verification.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"title": "', b'"title": "\xff', 1)
+        path.write_bytes(b"".join(lines))
+        column = lines[2].index(b"\xff") + 1
+        capsys.readouterr()
+        assert main(["score", *_args(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: not UTF-8 (invalid start byte at byte {column} "
+            "of the line); re-run verify\n")
 
 
     def test_observations_without_works_count(self, tmp_path, capsys):

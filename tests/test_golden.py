@@ -30,8 +30,10 @@ from unittest import mock
 
 import pytest
 
+import oracles
 from refscale import stats
 from refscale.cli import main
+from refscale.verification import results_from_jsonl
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -142,6 +144,16 @@ def test_funnel_invariants(corpus, bundle):
         assert {model: a["n_matched"] + a["n_excluded_status"]
                 for model, a in citetail["accounting"].items()} == \
             Counter(line["model"] for line in lines)
+
+
+@pytest.mark.parametrize("corpus", sorted(RUNS))
+def test_results_equal_the_whole_file_reader(corpus, bundle):
+    _, out = bundle(corpus)
+    path = out / "verification.jsonl"
+    results = results_from_jsonl(path)
+    assert results == oracles.results_from_jsonl(path)
+    verdict_sets = {tuple(res.verdicts.items()) for res in results.values()}
+    assert len({id(res.verdicts) for res in results.values()}) == len(verdict_sets)
 
 
 def test_ttail_takes_the_t_tail_and_records_parse_failures(tmp_path):
